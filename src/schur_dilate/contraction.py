@@ -29,6 +29,7 @@ from .linalg import (
     hermitian_part,
     opnorm,
     pinv,
+    rank_rcond,
 )
 
 # Slack allowed on extracted factors before clipping; beyond it the solve
@@ -60,7 +61,8 @@ def _defect_root(gram: np.ndarray, tol: Tolerances) -> np.ndarray:
     Gram matrix would surface as sqrt(eps) in the defect.
     """
     w, v = herm_eig(gram, tol)
-    if w.size and w.min() < -tol.psd_tol * max(1.0, opnorm(gram) + 1.0):
+    # max|w| is the operator norm of the Hermitian gram
+    if w.size and w.min() < -tol.psd_tol * (1.0 + np.abs(w).max()):
         raise NotContraction(
             f"operator norm exceeds 1 (defect eigenvalue {w.min():.3e})"
         )
@@ -117,6 +119,21 @@ def julia(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return np.block([[t, pair.d_t_star], [pair.d_t, -dagger(t)]])
 
 
+def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
+    """Singular values of X at or below this are dropped by the factor solves.
+
+    With Gamma contractive, Y = Gamma X carries at most sigma_i along the
+    i-th singular direction of X.  Dropping the (at most min(shape)) directions
+    below the cutoff therefore moves the solve residual by at most
+    sqrt(min(shape)) * cutoff <= CLIP_SLACK, the slack the residual check
+    allows, while keeping them would amplify the rounding noise of Y by
+    1 / sigma_i; products of defects with exact kernels leave such noise.
+    Within that bound the cutoff is psd_tol, the level below which defect
+    eigenvalues count as zero.
+    """
+    return min(tol.psd_tol, CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
+
+
 def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Contraction Gamma with Gamma X = Y, given Y*Y <= X*X.
 
@@ -128,7 +145,7 @@ def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     y = as_matrix(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts differ: {x.shape} vs {y.shape}")
-    g = y @ pinv(x, tol)
+    g = y @ pinv(x, tol, _solve_atol(x, tol))
     residual = frob(g @ x - y)
     if residual > CLIP_SLACK * max(1.0, frob(y)):
         raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual:.3e}")
@@ -156,9 +173,8 @@ def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsomet
     dev = frob(gx - gy)
     if dev > tol.psd_tol * max(1.0, frob(gx)):
         raise NotEquinormed(f"X*X and Y*Y differ by {dev:.3e}")
-    v = y @ pinv(x, tol)
+    atol = _solve_atol(x, tol)
+    v = y @ pinv(x, tol, atol)
     s = np.linalg.svd(x, compute_uv=False)
-    cutoff = (tol.rank_tol if tol.rank_tol is not None
-              else max(x.shape) * np.finfo(float).eps)
-    rank = int((s > cutoff * (s[0] if s.size else 1.0)).sum())
+    rank = int((s > rank_rcond(x, tol, atol) * (s[0] if s.size else 1.0)).sum())
     return PartialIsometryFactor(v=v, initial_rank=rank)

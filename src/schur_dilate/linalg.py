@@ -19,7 +19,9 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 class Tolerances:
     """Numerical tolerances shared across the library.
 
-    psd_tol    relative eigenvalue tolerance for positivity and symmetry checks
+    psd_tol    relative eigenvalue tolerance for positivity and symmetry checks;
+               contractive factor solves also drop singular values below it,
+               capped so the drop stays within their residual slack
     rank_tol   relative singular-value cutoff for pseudoinverses; ``None``
                selects ``max(rows, cols) * machine epsilon``
     recon_tol  Frobenius tolerance for parametrization round-trips
@@ -111,23 +113,36 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     a = as_matrix(a)
     w, v = herm_eig(a, tol)
-    floor = -tol.psd_tol * max(1.0, opnorm(a))
+    floor = -tol.psd_tol * max(1.0, np.abs(w).max(initial=0.0))
     if w.size and w.min() < floor:
         raise NotPSD(f"eigenvalue {w.min():.3e} below tolerance {floor:.3e}")
     w = np.clip(w, 0.0, None)
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
-def pinv(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative rank cutoff."""
+def rank_rcond(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> float:
+    """Relative singular-value cutoff of ``a``: singular values at or below
+    ``rank_rcond * sigma_max`` count as zero.
+
+    The cutoff is ``tol.rank_tol`` and, when ``atol > 0``, at least
+    ``atol / ||a||_F``.  Since ``sigma_max <= ||a||_F``, no singular value
+    above ``atol`` is cut by that floor.
+    """
+    rcond = tol.rank_tol if tol.rank_tol is not None else max(a.shape) * np.finfo(float).eps
+    if atol > 0:
+        scale = frob(a)
+        if scale > 0:
+            rcond = max(rcond, atol / scale)
+    return rcond
+
+
+def pinv(a, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> np.ndarray:
+    """Moore-Penrose pseudoinverse with the rank cutoff of ``rank_rcond``."""
     a = as_matrix(a)
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
-    rcond = tol.rank_tol
-    if rcond is None:
-        rcond = max(a.shape) * np.finfo(float).eps
     try:
-        return np.linalg.pinv(a, rcond=rcond)
+        return np.linalg.pinv(a, rcond=rank_rcond(a, tol, atol))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
 

@@ -15,10 +15,18 @@ than their positive roots.  The triangular convention is what makes the
     [[G1,      D_{G1*} G2                      ],
      [G3 D_G1, -G3 G1* G2 + D_{G3*} G4 D_{G2}  ]].
 
+Column parameters are the adjoints of the row parameters of ``T*``
+(``D_{(Gamma*)*} = D_Gamma``), so the column side is the row code applied
+to adjoints.
+
 Positive block matrices use the same machinery: diagonal blocks carry
 positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
+
+Every parameter ``Gamma`` costs one ``D_Gamma`` and one ``D_Gamma*``: the
+row solves hand the codomain defects they build to the triangular factors,
+which chain them as prefix products.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -37,7 +45,6 @@ from .contraction import (
     clip_to_contraction,
     defect,
     defect_star,
-    solve_contraction_factor,
     solve_left_factor,
 )
 from .errors import (
@@ -194,9 +201,30 @@ def _split_cols(t: np.ndarray, dims) -> list[np.ndarray]:
     return [t[:, off[k]:off[k + 1]] for k in range(len(dims))]
 
 
-def _split_rows(t: np.ndarray, dims) -> list[np.ndarray]:
-    off = _offsets(dims)
-    return [t[off[k]:off[k + 1], :] for k in range(len(dims))]
+def _row_extract(t: np.ndarray, dims, tol: Tolerances):
+    """Row gammas of ``t`` and their codomain defects ``D_{G_k*}``, one each."""
+    dacc = np.eye(t.shape[0], dtype=complex)
+    gammas, dstars = [], []
+    for blk in _split_cols(t, dims):
+        g = solve_left_factor(dacc, blk, tol)
+        ds = defect_star(g, tol)
+        gammas.append(g)
+        dstars.append(ds)
+        dacc = dacc @ ds
+    return gammas, dstars
+
+
+def _row_build(gammas, h: int, tol: Tolerances):
+    """Row contraction from its gammas, plus the defects ``D_{G_k*}`` it used."""
+    dacc = np.eye(h, dtype=complex)
+    blocks, dstars = [], []
+    for g in gammas:
+        check_contraction(g, tol)
+        blocks.append(dacc @ g)
+        ds = defect_star(g, tol)
+        dstars.append(ds)
+        dacc = dacc @ ds
+    return np.hstack(blocks), dstars
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -205,124 +233,79 @@ def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
     shape.check(t)
     if len(shape.row_dims) != 1:
         raise ShapeUnsupported("row contractions have a single block row")
-    gammas = []
-    dacc = np.eye(t.shape[0], dtype=complex)
-    for blk in _split_cols(t, shape.col_dims):
-        g = solve_left_factor(dacc, blk, tol)
-        gammas.append(g)
-        dacc = dacc @ defect_star(g, tol)
+    gammas, _ = _row_extract(t, shape.col_dims, tol)
     return RowColParams("row", tuple(gammas), shape)
 
 
 def row_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "row":
         raise ValueError("row_reconstruct needs row-oriented parameters")
-    h = params.shape.rows
-    dacc = np.eye(h, dtype=complex)
-    blocks = []
-    for g in params.gammas:
-        check_contraction(g, tol)
-        blocks.append(dacc @ g)
-        dacc = dacc @ defect_star(g, tol)
-    return np.hstack(blocks)
+    t, _ = _row_build(params.gammas, params.shape.rows, tol)
+    return t
+
+
+def _adjoints(gammas) -> list[np.ndarray]:
+    return [dagger(g) for g in gammas]
 
 
 def col_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
-    """Column mirror of ``row_parametrize``: T_k = Gamma_k D_{G_{k-1}} ... D_{G_1}."""
+    """Column parameters T_k = Gamma_k D_{G_{k-1}} ... D_{G_1}.
+
+    They are the adjoints of the row parameters of T*, because
+    ``D_{(G*)*} = D_G``.
+    """
     t = check_contraction(as_matrix(t), tol)
     shape.check(t)
     if len(shape.col_dims) != 1:
         raise ShapeUnsupported("column contractions have a single block column")
-    gammas = []
-    dacc = np.eye(t.shape[1], dtype=complex)
-    for blk in _split_rows(t, shape.row_dims):
-        g = solve_contraction_factor(dacc, blk, tol)
-        gammas.append(g)
-        dacc = defect(g, tol) @ dacc
-    return RowColParams("column", tuple(gammas), shape)
+    gammas, _ = _row_extract(dagger(t), shape.row_dims, tol)
+    return RowColParams("column", tuple(_adjoints(gammas)), shape)
 
 
 def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "column":
         raise ValueError("col_reconstruct needs column-oriented parameters")
-    w = params.shape.cols
-    dacc = np.eye(w, dtype=complex)
-    blocks = []
-    for g in params.gammas:
-        check_contraction(g, tol)
-        blocks.append(g @ dacc)
-        dacc = defect(g, tol) @ dacc
-    return np.vstack(blocks)
+    t_star, _ = _row_build(_adjoints(params.gammas), params.shape.cols, tol)
+    return dagger(t_star)
 
 
-def _row_lower_factor(gammas, tol: Tolerances) -> np.ndarray:
+def _row_lower_factor(gammas, dstars, tol: Tolerances) -> np.ndarray:
     """Block lower-triangular F with F F* = I - T*T for a row contraction.
 
     Diagonal blocks are D_{G_i}; below the diagonal sits
-    -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j.
+    -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j.  ``dstars[k]`` is D_{G_k*}, so
+    each block column is one walk of prefix products and the factor costs
+    one D_{G_i} per gamma on top of the D_{G_k*} the caller already has.
+    For a column contraction C the factor of its row adjoint C* satisfies
+    F F* = I - C C*.
     """
-    n = len(gammas)
-    cols = [g.shape[1] for g in gammas]
-    blocks = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                blocks[i][j] = defect(gammas[i], tol)
-            elif i > j:
-                acc = dagger(gammas[i])
-                for k in range(i - 1, j, -1):
-                    acc = acc @ defect_star(gammas[k], tol)
-                blocks[i][j] = -acc @ gammas[j]
-            else:
-                blocks[i][j] = np.zeros((cols[i], cols[j]))
-    return np.block(blocks)
-
-
-def _row_star_factor(gammas, h: int, tol: Tolerances) -> np.ndarray:
-    """M = D_{G_1*} ... D_{G_n*} with M M* = I - T T* for a row contraction."""
-    m = np.eye(h, dtype=complex)
-    for g in gammas:
-        m = m @ defect_star(g, tol)
-    return m
-
-
-def _col_star_lower_factor(gammas, tol: Tolerances) -> np.ndarray:
-    """Block lower-triangular L with L L* = I - C C* for a column contraction."""
-    n = len(gammas)
-    rows = [g.shape[0] for g in gammas]
-    blocks = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                blocks[i][j] = defect_star(gammas[i], tol)
-            elif i > j:
-                acc = gammas[i]
-                for k in range(i - 1, j, -1):
-                    acc = acc @ defect(gammas[k], tol)
-                blocks[i][j] = -acc @ dagger(gammas[j])
-            else:
-                blocks[i][j] = np.zeros((rows[i], rows[j]))
-    return np.block(blocks)
-
-
-def _col_product_factor(gammas, w: int, tol: Tolerances) -> np.ndarray:
-    """M = D_{G_1} ... D_{G_n} with M M* = I - C*C for a column contraction."""
-    m = np.eye(w, dtype=complex)
-    for g in gammas:
-        m = m @ defect(g, tol)
-    return m
+    off = _offsets([g.shape[1] for g in gammas])
+    f = np.zeros((off[-1], off[-1]), dtype=complex)
+    for j, gj in enumerate(gammas):
+        f[off[j]:off[j + 1], off[j]:off[j + 1]] = defect(gj, tol)
+        acc = gj
+        for i in range(j + 1, len(gammas)):
+            f[off[i]:off[i + 1], off[j]:off[j + 1]] = -dagger(gammas[i]) @ acc
+            acc = dstars[i] @ acc
+    return f
 
 
 def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
     """Natural factors (F, M) with F F* = I - T*T and M M* = I - T T*.
 
-    For row parameters F is block lower-triangular and M is the plain
-    product of codomain defects; for column parameters the roles mirror.
+    For row parameters F is block lower-triangular and M = D_{G_1*} ...
+    D_{G_n*} is the plain product of codomain defects; column parameters
+    are the row parameters of T*, so the two factors swap roles.
     """
     gs = params.gammas
-    if params.orientation == "row":
-        return (_row_lower_factor(gs, tol), _row_star_factor(gs, params.shape.rows, tol))
-    return (_col_product_factor(gs, params.shape.cols, tol), _col_star_lower_factor(gs, tol))
+    if params.orientation == "column":
+        gs = _adjoints(gs)
+    dstars = [defect_star(g, tol) for g in gs]
+    product = np.eye(gs[0].shape[0], dtype=complex)
+    for ds in dstars:
+        product = product @ ds
+    lower = _row_lower_factor(gs, dstars, tol)
+    return (lower, product) if params.orientation == "row" else (product, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +321,17 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     """
     t = check_contraction(as_matrix(t), tol)
     shape.check(t)
-    col_shape_dims = shape.row_dims
+    ncols = len(shape.col_dims)
     per_column = []
     dacc = np.eye(shape.rows, dtype=complex)
-    off = _offsets(shape.col_dims)
-    for k, d in enumerate(shape.col_dims):
-        colblk = t[:, off[k]:off[k + 1]]
+    for k, colblk in enumerate(_split_cols(t, shape.col_dims)):
         ck = solve_left_factor(dacc, colblk, tol)
-        col_params = col_parametrize(ck, BlockShape(col_shape_dims, (d,)), tol)
-        per_column.append(col_params.gammas)
-        dacc = dacc @ _col_star_lower_factor(col_params.gammas, tol)
+        gammas, dstars = _row_extract(dagger(ck), shape.row_dims, tol)
+        per_column.append(_adjoints(gammas))
+        if k + 1 < ncols:  # no block column left to solve
+            dacc = dacc @ _row_lower_factor(gammas, dstars, tol)
     grid = tuple(
-        tuple(per_column[j][i] for j in range(len(shape.col_dims)))
+        tuple(per_column[j][i] for j in range(ncols))
         for i in range(len(shape.row_dims))
     )
     return MatrixContractionParams(grid, shape)
@@ -357,13 +339,15 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
 
 def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     shape = params.shape
+    ncols = len(shape.col_dims)
     dacc = np.eye(shape.rows, dtype=complex)
     cols = []
     for j, d in enumerate(shape.col_dims):
-        gs = params.column(j)
-        ck = col_reconstruct(RowColParams("column", gs, BlockShape(shape.row_dims, (d,))), tol)
-        cols.append(dacc @ ck)
-        dacc = dacc @ _col_star_lower_factor(gs, tol)
+        gammas = _adjoints(params.column(j))
+        ck_star, dstars = _row_build(gammas, d, tol)
+        cols.append(dacc @ dagger(ck_star))
+        if j + 1 < ncols:  # no block column left to build
+            dacc = dacc @ _row_lower_factor(gammas, dstars, tol)
     return np.hstack(cols)
 
 
@@ -454,12 +438,22 @@ def unitary_reassemble(g1, g2, g3, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # positive block matrices
 
 
+def _chol_step(root, rk, gammas, dstars, chol, tol: Tolerances) -> np.ndarray:
+    """Extend the Cholesky factor of a trailing corner by one block row above."""
+    f = _row_lower_factor(gammas, dstars, tol)
+    return np.block([
+        [root, rk @ chol],
+        [np.zeros((chol.shape[0], root.shape[1])), dagger(f) @ chol],
+    ])
+
+
 def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> PositiveSCParams:
     """Parametrize a positive block matrix, bottom-up over trailing corners.
 
     Maintains the block Cholesky factor of the trailing principal
-    submatrix; each step above solves one row contraction against it, so
-    the whole extraction costs one factorization per block row.
+    submatrix; each step above solves one row contraction against it.
+    Besides one root per diagonal block, the extraction costs one D_Gamma
+    and one D_Gamma* per gamma.
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -479,16 +473,12 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
         row = a[off[k]:off[k + 1], off[k + 1]:]
         try:
             rk = clip_to_contraction(pinv(roots[k], tol) @ row @ pinv(chol, tol))
-            row_params = row_parametrize(rk, BlockShape((dims[k],), dims[k + 1:]), tol)
+            gammas, dstars = _row_extract(rk, dims[k + 1:], tol)
         except NotContraction as exc:
             raise NoFactor(str(exc)) from exc
-        gamma_rows[k] = row_params.gammas
-        f = _row_lower_factor(row_params.gammas, tol)
-        trailing = sum(dims[k + 1:])
-        chol = np.block([
-            [roots[k], rk @ chol],
-            [np.zeros((trailing, dims[k])), dagger(f) @ chol],
-        ])
+        gamma_rows[k] = tuple(gammas)
+        if k:  # the factor of the whole matrix is not needed
+            chol = _chol_step(roots[k], rk, gammas, dstars, chol, tol)
     return PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
 
 
@@ -498,15 +488,9 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     n = len(dims)
     chol = np.array(params.diag_roots[n - 1])
     for k in range(n - 2, -1, -1):
-        gs = params.gammas[k]
-        rk = row_reconstruct(
-            RowColParams("row", gs, BlockShape((dims[k],), dims[k + 1:])), tol)
-        f = _row_lower_factor(gs, tol)
-        trailing = sum(dims[k + 1:])
-        chol = np.block([
-            [params.diag_roots[k], rk @ chol],
-            [np.zeros((trailing, dims[k])), dagger(f) @ chol],
-        ])
+        gammas = params.gammas[k]
+        rk, dstars = _row_build(gammas, dims[k], tol)
+        chol = _chol_step(params.diag_roots[k], rk, gammas, dstars, chol, tol)
     return chol
 
 

@@ -8,7 +8,7 @@ from schur_dilate.contraction import (
     solve_partial_isometry,
 )
 from schur_dilate.errors import NoFactor, NotContraction, NotEquinormed
-from schur_dilate.linalg import dagger, opnorm, sqrt_psd
+from schur_dilate.linalg import Tolerances, dagger, opnorm, sqrt_psd
 from schur_dilate.sampling import complex_gaussian, random_contraction, rng_from_seed
 
 
@@ -97,6 +97,23 @@ def test_solve_factor_infeasible():
     with pytest.raises(NoFactor):
         solve_contraction_factor(np.array([[1.0], [0.0]]).T,
                                  np.array([[0.0], [1.0]]).T)
+
+
+def test_solve_factor_drops_noise_directions():
+    # Y carries 1e-11 along a direction where X has 1e-12: rounding noise,
+    # which a kept direction would amplify to a factor of norm 10.
+    g = solve_contraction_factor(np.diag([1.0, 1e-12]), np.diag([0.5, 1e-11]))
+    np.testing.assert_allclose(g, np.diag([0.5, 0.0]), atol=1e-12)
+
+
+def test_solves_keep_small_directions_under_loose_tolerance():
+    # Dropping a direction costs up to its singular value in residual, so a
+    # loose psd_tol must not drop what the residual check cannot absorb.
+    tol = Tolerances(psd_tol=1e-4)
+    x = np.diag([1.0, 1e-6])
+    np.testing.assert_allclose(solve_contraction_factor(x, 0.5 * x, tol), 0.5 * np.eye(2),
+                               atol=1e-12)
+    assert solve_partial_isometry(x, x, tol).initial_rank == 2
 
 
 def test_partial_isometry_trivial():

@@ -1,0 +1,79 @@
+"""Factorization counts of the parametrizations, a deterministic cost gate.
+
+Each gamma costs one D_Gamma and one D_Gamma* (one ``eigh`` each); the
+counts below are ceilings on the benchmark self-test's inputs.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from schur_dilate import dilation, scparams
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    seen = collections.Counter()
+    eigh, pinv, norm = np.linalg.eigh, np.linalg.pinv, np.linalg.norm
+
+    def counting_eigh(*args, **kwargs):
+        seen["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_pinv(*args, **kwargs):
+        seen["pinv"] += 1
+        return pinv(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            seen["norm2"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return seen
+
+
+def inputs():
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((128, 64)) + 1j * rng.standard_normal((128, 64))
+    psd = g.conj().T @ g / 64
+    t = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    t *= 0.9 / np.linalg.norm(t, 2)
+    q, _ = np.linalg.qr(rng.standard_normal((256, 16)) + 1j * rng.standard_normal((256, 16)))
+    channel = dilation.KrausChannel(16, 16, tuple(q[16 * i:16 * (i + 1)] for i in range(16)))
+    return psd, t, channel
+
+
+def test_psd_counts(counts):
+    psd, _, _ = inputs()
+    counts.clear()
+    params = scparams.psd_parametrize(psd, scparams.BlockShape((4,) * 16, (4,) * 16))
+    # 16 roots plus two defects for each of the 120 gammas
+    assert counts["eigh"] <= 256
+    assert counts["pinv"] == 150
+    assert counts["norm2"] <= 166
+    counts.clear()
+    scparams.psd_reconstruct(params)
+    assert counts["eigh"] <= 240
+
+
+def test_matrix_counts(counts):
+    _, t, _ = inputs()
+    grid = scparams.BlockShape((2,) * 8, (2,) * 8)
+    counts.clear()
+    params = scparams.matrix_parametrize(t, grid)
+    assert counts["eigh"] <= 128
+    assert counts["pinv"] == 72
+    counts.clear()
+    scparams.matrix_reconstruct(params)
+    assert counts["eigh"] <= 128
+
+
+def test_channel_dilate_counts(counts):
+    _, _, channel = inputs()
+    counts.clear()
+    dilation.channel_dilate(channel)
+    assert counts["eigh"] == 2

@@ -3,7 +3,7 @@ import pytest
 
 from schur_dilate.contraction import defect, defect_star, julia
 from schur_dilate.errors import NotPSD, NotUnitary, ShapeUnsupported
-from schur_dilate.linalg import dagger, is_psd, kron, opnorm
+from schur_dilate.linalg import Tolerances, dagger, is_psd, kron, opnorm
 from schur_dilate.sampling import (
     complex_gaussian,
     random_coisometry,
@@ -67,6 +67,29 @@ def test_row_roundtrip_random():
         params = row_parametrize(t, BlockShape((h,), dims))
         np.testing.assert_allclose(row_reconstruct(params), t, atol=1e-8)
         assert all(opnorm(g) <= 1 + 1e-9 for g in params.gammas)
+
+
+def test_row_roundtrip_norm_one_parameters():
+    # Every D_{G_k*} has an exact kernel; their product leaves rounding noise
+    # there, which the extraction's solves must not amplify.
+    rng = rng_from_seed(70)
+    for _ in range(300):
+        gammas = tuple(random_unitary(rng, 2) @ np.diag([1.0, 0.5]) @ random_unitary(rng, 2)
+                       for _ in range(3))
+        params = RowColParams("row", gammas, BlockShape((2,), (2, 2, 2)))
+        t = row_reconstruct(params)
+        np.testing.assert_allclose(row_reconstruct(row_parametrize(t, params.shape)), t,
+                                   atol=1e-8)
+
+
+def test_row_roundtrip_loose_tolerance():
+    # The last solve runs against the prefix product d^3 ~ 2.8e-6 of the
+    # defects, which a loose psd_tol must not drop.
+    tol = Tolerances(psd_tol=1e-4)
+    g, d = np.sqrt(1 - 2e-4), np.sqrt(2e-4)
+    t = np.array([[g, d * g, d * d * g, d ** 3 * 0.5]])
+    params = row_parametrize(t, BlockShape((1,), (1, 1, 1, 1)), tol)
+    np.testing.assert_allclose(row_reconstruct(params, tol), t, atol=1e-12)
 
 
 def test_col_zero_and_scalar():
