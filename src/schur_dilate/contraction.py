@@ -5,7 +5,9 @@ For a contraction ``T`` the defect operators are
     D_T  = (I - T*T)^(1/2)        square on the domain,
     D_T* = (I - TT*)^(1/2)        square on the codomain,
 
-and ``[[T, D_T*], [D_T, -T*]]`` is unitary.  The two solve operations
+and ``[[T, D_T*], [D_T, -T*]]`` is unitary (``julia_block``; ``with_freedom``
+applies its freedom ``diag(I, U1) . U . diag(I, U2)``).  Both defects come
+from one SVD (``defects``): one SVD per gamma.  The two solve operations
 realize the closed-form factorizations ``Gamma = Y X^+`` that every
 parametrization in this package is built from: the pseudoinverse extends
 the factor by zero off the closed range, which is also the normalization
@@ -18,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFactor, NotContraction, NotEquinormed
+from .errors import NoConvergence, NoFactor, NotContraction, NotEquinormed
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
     dagger,
     frob,
-    herm_eig,
     hermitian_part,
     opnorm,
     pinv,
@@ -53,35 +54,6 @@ class PartialIsometryFactor:
     initial_rank: int
 
 
-def _defect_root(gram: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Positive root of I - gram with eigenvalues in [-psd_tol, psd_tol] -> 0.
-
-    Singular values of the contraction within tolerance of 1 are treated as
-    exactly 1; without the symmetric clamp, float noise of order eps in the
-    Gram matrix would surface as sqrt(eps) in the defect.
-    """
-    w, v = herm_eig(gram, tol)
-    # max|w| is the operator norm of the Hermitian gram
-    if w.size and w.min() < -tol.psd_tol * (1.0 + np.abs(w).max()):
-        raise NotContraction(
-            f"operator norm exceeds 1 (defect eigenvalue {w.min():.3e})"
-        )
-    w = np.where(np.abs(w) <= tol.psd_tol, 0.0, np.clip(w, 0.0, None))
-    return hermitian_part((v * np.sqrt(w)) @ dagger(v))
-
-
-def defect(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """D_T, square of side cols(T)."""
-    t = as_matrix(t)
-    return _defect_root(np.eye(t.shape[1]) - dagger(t) @ t, tol)
-
-
-def defect_star(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """D_T*, square of side rows(T)."""
-    t = as_matrix(t)
-    return _defect_root(np.eye(t.shape[0]) - t @ dagger(t), tol)
-
-
 def check_contraction(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     t = as_matrix(t)
     norm = opnorm(t)
@@ -107,16 +79,55 @@ def clip_to_contraction(g: np.ndarray, slack: float = CLIP_SLACK) -> np.ndarray:
 
 
 def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
-    """Both defect operators of a contraction."""
-    t = check_contraction(t, tol)
-    return DefectPair(d_t=defect(t, tol), d_t_star=defect_star(t, tol))
+    """Both defect operators from one SVD ``T = U S V*``.
+
+    ``D_T = V sqrt(1 - S^2) V*`` and ``D_T* = U sqrt(1 - S^2) U*``, the
+    identity on the kernel complements.  Values of ``1 - s^2`` within
+    ``psd_tol`` of 0 count as 0, so singular values that are 1 up to
+    rounding leave exact kernels instead of sqrt(eps) noise.
+    """
+    t = as_matrix(t)
+    try:
+        u, s, vh = np.linalg.svd(t)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    if s.size and s[0] > 1.0 + tol.psd_tol:
+        raise NotContraction(f"operator norm {s[0]:.12f} exceeds 1")
+    w = (1.0 - s) * (1.0 + s)
+    root = np.sqrt(np.where(w <= tol.psd_tol, 0.0, w))
+    d_t = (dagger(vh) * np.append(root, np.ones(t.shape[1] - s.size))) @ vh
+    d_t_star = (u * np.append(root, np.ones(t.shape[0] - s.size))) @ dagger(u)
+    return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
+
+
+def defect(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """D_T, square of side cols(T)."""
+    return defects(t, tol).d_t
+
+
+def defect_star(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """D_T*, square of side rows(T)."""
+    return defects(t, tol).d_t_star
+
+
+def julia_block(t: np.ndarray, pair: DefectPair) -> np.ndarray:
+    """The Julia unitary [[T, D_T*], [D_T, -T*]] from T and its defects."""
+    return np.block([[t, pair.d_t_star], [pair.d_t, -dagger(t)]])
+
+
+def with_freedom(u: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """diag(I, left) . U . diag(I, right), computed in place on U's trailing
+    rows and columns instead of as two full block-diagonal products."""
+    p, q = left.shape[0], right.shape[0]
+    u[len(u) - p:] = left @ u[len(u) - p:]
+    u[:, u.shape[1] - q:] = u[:, u.shape[1] - q:] @ right
+    return u
 
 
 def julia(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Unitary completion [[T, D_T*], [D_T, -T*]] of a contraction."""
-    t = check_contraction(t, tol)
-    pair = defects(t, tol)
-    return np.block([[t, pair.d_t_star], [pair.d_t, -dagger(t)]])
+    t = as_matrix(t)
+    return julia_block(t, defects(t, tol))
 
 
 def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
@@ -128,8 +139,8 @@ def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
     sqrt(min(shape)) * cutoff <= CLIP_SLACK, the slack the residual check
     allows, while keeping them would amplify the rounding noise of Y by
     1 / sigma_i; products of defects with exact kernels leave such noise.
-    Within that bound the cutoff is psd_tol, the level below which defect
-    eigenvalues count as zero.
+    Within that bound the cutoff is psd_tol, the level below which
+    ``defects`` counts 1 - s^2 as zero.
     """
     return min(tol.psd_tol, CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
 

@@ -17,7 +17,7 @@ embedded input by ``U`` and trace out the ancilla (the first, slow tensor
 factor) to recover ``sum_i E_i rho E_i*``.  Both completions carry the
 freedom ``diag(I, U_1) . U . diag(I, U_2)``; the freedom never touches the
 first block column, so simulated outputs and compressions are invariant
-under it.
+under it.  ``julia_block`` and ``with_freedom`` build both; one SVD each.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contraction import defect, defect_star
+from .contraction import DefectPair, defect, defects, julia_block, with_freedom
+from .contraction import defect_star  # noqa: F401 - bench/selftest.py looks it up here
 from .errors import (
     DimensionMismatch,
     EffectsNotRankOne,
@@ -46,6 +47,7 @@ from .linalg import (
     hermitian_part,
     is_psd,
     sqrt_psd,
+    unitarity_deviation,
 )
 
 
@@ -53,7 +55,7 @@ def _check_unitary_factor(u: np.ndarray, side: int, name: str) -> np.ndarray:
     u = as_matrix(u, name)
     if u.shape != (side, side):
         raise DimensionMismatch(f"{name} must be {side} x {side}, got {u.shape}")
-    if frob(dagger(u) @ u - np.eye(side)) > 1e-10 * max(1.0, side):
+    if unitarity_deviation(u) > 1e-10 * max(1.0, side):
         raise NotUnitary(f"{name} is not unitary")
     return u
 
@@ -171,7 +173,7 @@ class DilationResult:
 
     def __post_init__(self):
         u = np.array(self.unitary, dtype=complex)
-        if frob(dagger(u) @ u - np.eye(u.shape[0])) > 1e-9 * max(1.0, u.shape[0]):
+        if unitarity_deviation(u) > 1e-9 * max(1.0, u.shape[0]):
             raise NotUnitary("dilation result must be unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -195,24 +197,12 @@ def povm_dilate(povm: Povm, freedom=None, tol: Tolerances = DEFAULT_TOL) -> Dila
     mm = np.column_stack(povm.vectors)
     if np.abs(mm @ dagger(mm) - np.eye(m)).max() > 1e-10:
         raise NotResolution("vectors do not resolve the identity")
-    d_m = defect(mm, tol)
-    u = np.block([
-        [mm, np.zeros((m, m))],
-        [d_m, -dagger(mm)],
-    ])
+    u = julia_block(mm, DefectPair(defect(mm, tol), np.zeros((m, m))))
     applied = None
     if freedom is not None:
         u1 = _check_unitary_factor(freedom[0], n, "U1")
         u2 = _check_unitary_factor(freedom[1], m, "U2")
-        left = np.block([
-            [np.eye(m), np.zeros((m, n))],
-            [np.zeros((n, m)), u1],
-        ])
-        right = np.block([
-            [np.eye(n), np.zeros((n, m))],
-            [np.zeros((m, n)), u2],
-        ])
-        u = left @ u @ right
+        u = with_freedom(u, u1, u2)
         applied = (u1, u2)
     return DilationResult(kind="povm", unitary=u, system_span=(0, m),
                           ancilla_dim=n, freedom=applied)
@@ -311,26 +301,13 @@ def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = 
         absorbing = tuple(range(len(ops), len(ops) + len(extra)))
         ops = ops + extra
     t = np.vstack(ops)
-    d_t = defect(t, tol)            # exactly zero for an isometric stack
-    d_t_star = defect_star(t, tol)
     rm = t.shape[0]
-    u = np.block([
-        [t, d_t_star],
-        [d_t, -dagger(t)],
-    ])
+    u = julia_block(t, defects(t, tol))  # D_T is exactly zero for an isometric stack
     applied = None
     if freedom is not None:
         u1 = _check_unitary_factor(freedom[0], n, "U1")
         u2 = _check_unitary_factor(freedom[1], rm, "U2")
-        left = np.block([
-            [np.eye(rm), np.zeros((rm, n))],
-            [np.zeros((n, rm)), u1],
-        ])
-        right = np.block([
-            [np.eye(n), np.zeros((n, rm))],
-            [np.zeros((rm, n)), u2],
-        ])
-        u = left @ u @ right
+        u = with_freedom(u, u1, u2)
         applied = (u1, u2)
     k0 = rm + n
     minimal = -(-k0 // m)  # ceil

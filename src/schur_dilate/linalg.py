@@ -74,6 +74,11 @@ def frob(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def unitarity_deviation(u: np.ndarray) -> float:
+    """Frobenius norm of U*U - I; zero exactly for an isometry U."""
+    return frob(dagger(u) @ u - np.eye(u.shape[1]))
+
+
 def opnorm(a: np.ndarray) -> float:
     """Operator 2-norm (largest singular value)."""
     if a.size == 0:

@@ -24,9 +24,9 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-Every parameter ``Gamma`` costs one ``D_Gamma`` and one ``D_Gamma*``: the
-row solves hand the codomain defects they build to the triangular factors,
-which chain them as prefix products.
+One SVD per gamma gives ``D_Gamma`` and ``D_Gamma*``: the row solves hand
+these pairs to the triangular factors, which chain them as prefix products.
+The unitary split reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -44,8 +44,10 @@ from .contraction import (
     check_contraction,
     clip_to_contraction,
     defect,
-    defect_star,
+    defects,
+    julia_block,
     solve_left_factor,
+    with_freedom,
 )
 from .errors import (
     DimensionMismatch,
@@ -60,11 +62,11 @@ from .linalg import (
     Tolerances,
     as_matrix,
     dagger,
-    frob,
     hermitian_part,
     is_psd,
     pinv,
     sqrt_psd,
+    unitarity_deviation,
 )
 
 
@@ -202,29 +204,28 @@ def _split_cols(t: np.ndarray, dims) -> list[np.ndarray]:
 
 
 def _row_extract(t: np.ndarray, dims, tol: Tolerances):
-    """Row gammas of ``t`` and their codomain defects ``D_{G_k*}``, one each."""
+    """Row gammas of ``t`` and their defect pairs, one SVD each."""
     dacc = np.eye(t.shape[0], dtype=complex)
-    gammas, dstars = [], []
+    gammas, pairs = [], []
     for blk in _split_cols(t, dims):
         g = solve_left_factor(dacc, blk, tol)
-        ds = defect_star(g, tol)
+        pair = defects(g, tol)
         gammas.append(g)
-        dstars.append(ds)
-        dacc = dacc @ ds
-    return gammas, dstars
+        pairs.append(pair)
+        dacc = dacc @ pair.d_t_star
+    return gammas, pairs
 
 
 def _row_build(gammas, h: int, tol: Tolerances):
-    """Row contraction from its gammas, plus the defects ``D_{G_k*}`` it used."""
+    """Row contraction from its gammas, plus the defect pairs it used."""
     dacc = np.eye(h, dtype=complex)
-    blocks, dstars = [], []
+    blocks, pairs = [], []
     for g in gammas:
-        check_contraction(g, tol)
+        pair = defects(g, tol)
         blocks.append(dacc @ g)
-        ds = defect_star(g, tol)
-        dstars.append(ds)
-        dacc = dacc @ ds
-    return np.hstack(blocks), dstars
+        pairs.append(pair)
+        dacc = dacc @ pair.d_t_star
+    return np.hstack(blocks), pairs
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -269,24 +270,23 @@ def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.n
     return dagger(t_star)
 
 
-def _row_lower_factor(gammas, dstars, tol: Tolerances) -> np.ndarray:
+def _row_lower_factor(gammas, pairs) -> np.ndarray:
     """Block lower-triangular F with F F* = I - T*T for a row contraction.
 
     Diagonal blocks are D_{G_i}; below the diagonal sits
-    -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j.  ``dstars[k]`` is D_{G_k*}, so
-    each block column is one walk of prefix products and the factor costs
-    one D_{G_i} per gamma on top of the D_{G_k*} the caller already has.
-    For a column contraction C the factor of its row adjoint C* satisfies
-    F F* = I - C C*.
+    -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j.  ``pairs[k]`` holds the
+    defects of G_k, so each block column is one walk of prefix products
+    and the factor costs no factorization of its own.  For a column
+    contraction C the factor of its row adjoint C* satisfies F F* = I - C C*.
     """
     off = _offsets([g.shape[1] for g in gammas])
     f = np.zeros((off[-1], off[-1]), dtype=complex)
     for j, gj in enumerate(gammas):
-        f[off[j]:off[j + 1], off[j]:off[j + 1]] = defect(gj, tol)
+        f[off[j]:off[j + 1], off[j]:off[j + 1]] = pairs[j].d_t
         acc = gj
         for i in range(j + 1, len(gammas)):
             f[off[i]:off[i + 1], off[j]:off[j + 1]] = -dagger(gammas[i]) @ acc
-            acc = dstars[i] @ acc
+            acc = pairs[i].d_t_star @ acc
     return f
 
 
@@ -300,11 +300,11 @@ def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
     gs = params.gammas
     if params.orientation == "column":
         gs = _adjoints(gs)
-    dstars = [defect_star(g, tol) for g in gs]
+    pairs = [defects(g, tol) for g in gs]
     product = np.eye(gs[0].shape[0], dtype=complex)
-    for ds in dstars:
-        product = product @ ds
-    lower = _row_lower_factor(gs, dstars, tol)
+    for pair in pairs:
+        product = product @ pair.d_t_star
+    lower = _row_lower_factor(gs, pairs)
     return (lower, product) if params.orientation == "row" else (product, lower)
 
 
@@ -326,10 +326,10 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     dacc = np.eye(shape.rows, dtype=complex)
     for k, colblk in enumerate(_split_cols(t, shape.col_dims)):
         ck = solve_left_factor(dacc, colblk, tol)
-        gammas, dstars = _row_extract(dagger(ck), shape.row_dims, tol)
+        gammas, pairs = _row_extract(dagger(ck), shape.row_dims, tol)
         per_column.append(_adjoints(gammas))
         if k + 1 < ncols:  # no block column left to solve
-            dacc = dacc @ _row_lower_factor(gammas, dstars, tol)
+            dacc = dacc @ _row_lower_factor(gammas, pairs)
     grid = tuple(
         tuple(per_column[j][i] for j in range(ncols))
         for i in range(len(shape.row_dims))
@@ -344,10 +344,10 @@ def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAUL
     cols = []
     for j, d in enumerate(shape.col_dims):
         gammas = _adjoints(params.column(j))
-        ck_star, dstars = _row_build(gammas, d, tol)
+        ck_star, pairs = _row_build(gammas, d, tol)
         cols.append(dacc @ dagger(ck_star))
         if j + 1 < ncols:  # no block column left to build
-            dacc = dacc @ _row_lower_factor(gammas, dstars, tol)
+            dacc = dacc @ _row_lower_factor(gammas, pairs)
     return np.hstack(cols)
 
 
@@ -360,21 +360,16 @@ def matrix_defects_2x2(params: MatrixContractionParams, tol: Tolerances = DEFAUL
     shape = params.shape
     if len(shape.row_dims) != 2 or len(shape.col_dims) != 2:
         raise ShapeUnsupported("2 x 2 block parameters required")
-    g1 = params.gammas[0][0]
-    g3 = params.gammas[1][0]
-    g2 = params.gammas[0][1]
-    g4 = params.gammas[1][1]
-    h1, h2 = shape.col_dims
-    k1, k2 = shape.row_dims
-    d = lambda g: defect(g, tol)
-    ds = lambda g: defect_star(g, tol)
+    (g1, g2), (g3, g4) = params.gammas
+    p1, p2, p3, p4 = (defects(g, tol) for g in (g1, g2, g3, g4))
     factor_t = np.block([
-        [d(g3) @ d(g1), -d(g3) @ dagger(g1) @ g2 - dagger(g3) @ g4 @ d(g2)],
-        [np.zeros((h2, h1)), d(g4) @ d(g2)],
+        [p3.d_t @ p1.d_t, -p3.d_t @ dagger(g1) @ g2 - dagger(g3) @ g4 @ p2.d_t],
+        [np.zeros(shape.col_dims[::-1]), p4.d_t @ p2.d_t],
     ])
     factor_t_star = np.block([
-        [ds(g2) @ ds(g1), -ds(g2) @ g1 @ dagger(g3) - g2 @ dagger(g4) @ ds(g3)],
-        [np.zeros((k2, k1)), ds(g4) @ ds(g3)],
+        [p2.d_t_star @ p1.d_t_star,
+         -p2.d_t_star @ g1 @ dagger(g3) - g2 @ dagger(g4) @ p3.d_t_star],
+        [np.zeros(shape.row_dims[::-1]), p4.d_t_star @ p3.d_t_star],
     ])
     return factor_t, factor_t_star
 
@@ -402,7 +397,7 @@ def unitary_factorize(u, shape: BlockShape, tol: Tolerances = DEFAULT_TOL):
         raise ShapeUnsupported(
             f"off-diagonal blocks must be square, got {(k1, h2)} and {(k2, h1)}"
         )
-    dev = frob(dagger(u) @ u - np.eye(u.shape[1]))
+    dev = unitarity_deviation(u)
     if dev > 1e-10 * max(1.0, u.shape[0]):
         raise NotUnitary(f"unitarity deviation {dev:.3e}")
     a = u[:k1, :h1]
@@ -419,28 +414,16 @@ def unitary_factorize(u, shape: BlockShape, tol: Tolerances = DEFAULT_TOL):
 def unitary_reassemble(g1, g2, g3, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Inverse of ``unitary_factorize``: diag(I, G3) . julia(G1) . diag(I, G2)."""
     g1, g2, g3 = as_matrix(g1), as_matrix(g2), as_matrix(g3)
-    da = defect(g1, tol)
-    das = defect_star(g1, tol)
-    middle = np.block([[g1, das], [da, -dagger(g1)]])
-    p, q = g1.shape[0], g1.shape[1]
-    left = np.block([
-        [np.eye(p), np.zeros((p, q))],
-        [np.zeros((q, p)), g3],
-    ])
-    right = np.block([
-        [np.eye(q), np.zeros((q, p))],
-        [np.zeros((p, q)), g2],
-    ])
-    return left @ middle @ right
+    return with_freedom(julia_block(g1, defects(g1, tol)), g3, g2)
 
 
 # ---------------------------------------------------------------------------
 # positive block matrices
 
 
-def _chol_step(root, rk, gammas, dstars, chol, tol: Tolerances) -> np.ndarray:
+def _chol_step(root, rk, gammas, pairs, chol) -> np.ndarray:
     """Extend the Cholesky factor of a trailing corner by one block row above."""
-    f = _row_lower_factor(gammas, dstars, tol)
+    f = _row_lower_factor(gammas, pairs)
     return np.block([
         [root, rk @ chol],
         [np.zeros((chol.shape[0], root.shape[1])), dagger(f) @ chol],
@@ -452,8 +435,8 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
 
     Maintains the block Cholesky factor of the trailing principal
     submatrix; each step above solves one row contraction against it.
-    Besides one root per diagonal block, the extraction costs one D_Gamma
-    and one D_Gamma* per gamma.
+    Besides one root per diagonal block, the extraction costs one SVD per
+    gamma.
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -473,12 +456,12 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
         row = a[off[k]:off[k + 1], off[k + 1]:]
         try:
             rk = clip_to_contraction(pinv(roots[k], tol) @ row @ pinv(chol, tol))
-            gammas, dstars = _row_extract(rk, dims[k + 1:], tol)
+            gammas, pairs = _row_extract(rk, dims[k + 1:], tol)
         except NotContraction as exc:
             raise NoFactor(str(exc)) from exc
         gamma_rows[k] = tuple(gammas)
         if k:  # the factor of the whole matrix is not needed
-            chol = _chol_step(roots[k], rk, gammas, dstars, chol, tol)
+            chol = _chol_step(roots[k], rk, gammas, pairs, chol)
     return PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
 
 
@@ -489,8 +472,8 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     chol = np.array(params.diag_roots[n - 1])
     for k in range(n - 2, -1, -1):
         gammas = params.gammas[k]
-        rk, dstars = _row_build(gammas, dims[k], tol)
-        chol = _chol_step(params.diag_roots[k], rk, gammas, dstars, chol, tol)
+        rk, pairs = _row_build(gammas, dims[k], tol)
+        chol = _chol_step(params.diag_roots[k], rk, gammas, pairs, chol)
     return chol
 
 

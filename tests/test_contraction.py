@@ -6,10 +6,16 @@ from schur_dilate.contraction import (
     julia,
     solve_contraction_factor,
     solve_partial_isometry,
+    with_freedom,
 )
-from schur_dilate.errors import NoFactor, NotContraction, NotEquinormed
+from schur_dilate.errors import NoConvergence, NoFactor, NotContraction, NotEquinormed
 from schur_dilate.linalg import Tolerances, dagger, opnorm, sqrt_psd
-from schur_dilate.sampling import complex_gaussian, random_contraction, rng_from_seed
+from schur_dilate.sampling import (
+    complex_gaussian,
+    random_contraction,
+    random_unitary,
+    rng_from_seed,
+)
 
 
 def test_defects_zero_contraction():
@@ -48,6 +54,24 @@ def test_defect_intertwining():
         assert np.linalg.norm(t @ pair.d_t - pair.d_t_star @ t) <= 1e-10
 
 
+def test_defects_of_isometries_vanish_exactly():
+    # channel_dilate relies on D_T = 0 exactly for an isometric Kraus stack
+    rng = rng_from_seed(27)
+    for rows, cols in ((6, 3), (16, 4)):
+        isometry = random_unitary(rng, rows)[:, :cols]
+        assert not defects(isometry).d_t.any()
+        assert not defects(dagger(isometry)).d_t_star.any()
+
+
+def test_defects_svd_failure_is_no_convergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NoConvergence):
+        defects(0.5 * np.eye(2))
+
+
 def test_julia_trivial():
     np.testing.assert_allclose(julia(np.zeros((2, 2))),
                                np.block([[np.zeros((2, 2)), np.eye(2)],
@@ -63,6 +87,21 @@ def test_julia_unitary_on_rectangular():
         j = julia(t)
         assert j.shape == (5, 5)
         assert np.linalg.norm(dagger(j) @ j - np.eye(5)) <= 1e-10
+
+
+def test_with_freedom_matches_block_diagonal_products():
+    rng = rng_from_seed(28)
+
+    def padded(k, a):
+        out = np.eye(k, dtype=complex)
+        out[k - len(a):, k - len(a):] = a
+        return out
+
+    for k, p, q in ((5, 2, 3), (5, 4, 1), (3, 1, 2)):
+        u = complex_gaussian(rng, k, k)
+        a, b = random_unitary(rng, p), random_unitary(rng, q)
+        want = padded(k, a) @ u @ padded(k, b)
+        assert np.linalg.norm(with_freedom(u.copy(), a, b) - want) <= 1e-13
 
 
 def test_solve_factor_identity_and_projection():

@@ -1,7 +1,8 @@
 """Factorization counts of the parametrizations, a deterministic cost gate.
 
-Each gamma costs one D_Gamma and one D_Gamma* (one ``eigh`` each); the
-counts below are ceilings on the benchmark self-test's inputs.
+Each gamma costs one SVD, which gives both D_Gamma and D_Gamma*; ``eigh``
+is left to the positive roots of diagonal blocks.  The counts below are
+ceilings on the benchmark self-test's inputs.
 """
 
 import collections
@@ -15,11 +16,15 @@ from schur_dilate import dilation, scparams
 @pytest.fixture
 def counts(monkeypatch):
     seen = collections.Counter()
-    eigh, pinv, norm = np.linalg.eigh, np.linalg.pinv, np.linalg.norm
+    eigh, svd, pinv, norm = np.linalg.eigh, np.linalg.svd, np.linalg.pinv, np.linalg.norm
 
     def counting_eigh(*args, **kwargs):
         seen["eigh"] += 1
         return eigh(*args, **kwargs)
+
+    def counting_svd(*args, **kwargs):
+        seen["svd"] += 1
+        return svd(*args, **kwargs)
 
     def counting_pinv(*args, **kwargs):
         seen["pinv"] += 1
@@ -31,6 +36,7 @@ def counts(monkeypatch):
         return norm(x, ord, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     return seen
@@ -51,13 +57,16 @@ def test_psd_counts(counts):
     psd, _, _ = inputs()
     counts.clear()
     params = scparams.psd_parametrize(psd, scparams.BlockShape((4,) * 16, (4,) * 16))
-    # 16 roots plus two defects for each of the 120 gammas
-    assert counts["eigh"] <= 256
+    # 16 roots, and one SVD for the defects of each of the 120 gammas
+    assert counts["eigh"] <= 16
+    assert counts["svd"] <= 120
     assert counts["pinv"] == 150
     assert counts["norm2"] <= 166
     counts.clear()
     scparams.psd_reconstruct(params)
-    assert counts["eigh"] <= 240
+    assert counts["eigh"] == 0
+    assert counts["svd"] <= 120
+    assert counts["norm2"] == 0
 
 
 def test_matrix_counts(counts):
@@ -65,15 +74,18 @@ def test_matrix_counts(counts):
     grid = scparams.BlockShape((2,) * 8, (2,) * 8)
     counts.clear()
     params = scparams.matrix_parametrize(t, grid)
-    assert counts["eigh"] <= 128
+    assert counts["eigh"] == 0
+    assert counts["svd"] <= 64
     assert counts["pinv"] == 72
     counts.clear()
     scparams.matrix_reconstruct(params)
-    assert counts["eigh"] <= 128
+    assert counts["eigh"] == 0
+    assert counts["svd"] <= 64
 
 
 def test_channel_dilate_counts(counts):
     _, _, channel = inputs()
     counts.clear()
     dilation.channel_dilate(channel)
-    assert counts["eigh"] == 2
+    assert counts["eigh"] == 0
+    assert counts["svd"] == 1
