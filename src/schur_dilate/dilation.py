@@ -18,6 +18,11 @@ factor) to recover ``sum_i E_i rho E_i*``.  Both completions carry the
 freedom ``diag(I, U_1) . U . diag(I, U_2)``; the freedom never touches the
 first block column, so simulated outputs and compressions are invariant
 under it.  ``julia_block`` and ``with_freedom`` build both; one SVD each.
+
+Checks stay below the cost of the completion itself: ``channel_simulate``
+reads only ``U[:, :n]`` (O(k n^2) per state), and ``povm_verify`` takes
+its projector norms from one Gram matrix ``U*U`` instead of the k^2
+products ``F_i F_j`` of the definitions.
 """
 
 from __future__ import annotations
@@ -233,22 +238,28 @@ class PovmVerification:
 def povm_verify(result, povm: Povm,
                 projector_tol: float = 1e-9,
                 compression_tol: float = 1e-10) -> PovmVerification:
-    """Report-only check of the PVM and compression properties."""
+    """Report-only check of the PVM and compression properties.
+
+    Every ``F_i = u_i u_i*`` is rank one, so for any matrix ``U`` (unitary
+    or not) the projector norms reduce to its Gram matrix ``G = U*U``:
+    ``sum_i F_i = U U*``, ``||F_i^2 - F_i||_F = |G_ii - 1| G_ii`` and
+    ``||F_i F_j||_F = |G_ij| sqrt(G_ii G_jj)``.  That is two k^3 products
+    in place of the k^2 projector products of the definitions; the
+    compressions are the outer products of the columns of ``U[:m, :]``.
+    """
     m = povm.dim
     n = povm.outcomes
-    projectors = povm_projectors(result)
-    k = projectors[0].shape[0]
-    completeness = frob(sum(projectors) - np.eye(k))
-    idem = max(frob(f @ f - f) for f in projectors)
-    ortho = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            ortho = max(ortho, frob(projectors[i] @ projectors[j]))
-    compression = max(
-        np.abs(projectors[i][:m, :m] - povm.effects[i]).max() for i in range(n))
-    extra = 0.0
-    for i in range(n, k):
-        extra = max(extra, np.abs(projectors[i][:m, :m]).max())
+    u = result.unitary if isinstance(result, DilationResult) else as_matrix(result)
+    completeness = frob(u @ dagger(u) - np.eye(u.shape[0]))
+    gram = dagger(u) @ u
+    sq = gram.diagonal().real  # ||u_i||^2
+    idem = float(np.max(np.abs(sq - 1.0) * sq))
+    norms = np.sqrt(sq)
+    ortho = float(np.triu(np.abs(gram) * np.outer(norms, norms), 1).max())
+    top = u[:m, :].T
+    compressed = top[:, :, None] * top.conj()[:, None, :]  # P F_i P, one per column
+    compression = float(np.abs(compressed[:n] - np.array(povm.effects)).max())
+    extra = float(np.abs(compressed[n:]).max(initial=0.0))
     passed = (completeness <= projector_tol and idem <= projector_tol
               and ortho <= projector_tol and compression <= compression_tol
               and extra <= compression_tol)
@@ -331,9 +342,12 @@ def channel_simulate(result: DilationResult, rho,
                      include_absorbing: bool = True) -> np.ndarray:
     """Push a state through the dilation and trace out the ancilla.
 
-    Embeds ``e_0 e_0* (x) rho`` (the input occupies the leading system
-    coordinates), conjugates by the dilation unitary, and sums the diagonal
-    out_dim blocks; excluding the absorbing blocks reproduces the original
+    Embedding ``e_0 e_0* (x) rho`` (the input occupies the leading system
+    coordinates), conjugating by the dilation unitary and summing the
+    diagonal out_dim blocks gives ``sum_b V_b rho V_b*``, with ``V_b`` the
+    out_dim x n blocks of ``U[:, :n]``; only those are read, so a call
+    costs O(k n^2) instead of the O(k^3) of the full conjugation.
+    Excluding the absorbing blocks reproduces the original
     trace-decreasing map.
     """
     if result.kind != "channel":
@@ -348,15 +362,8 @@ def channel_simulate(result: DilationResult, rho,
         raise NotState(f"state has eigenvalue {check.min_eigenvalue:.3e}")
     if np.trace(rho).real > 1.0 + tol.psd_tol:
         raise NotState("state trace exceeds 1")
-    k = result.total_dim
-    u = result.unitary
-    x = np.zeros((k, k), dtype=complex)
-    x[:n, :n] = rho
-    y = u @ x @ dagger(u)
-    out = np.zeros((m, m), dtype=complex)
-    skip = set() if include_absorbing else set(result.absorbing_blocks)
-    for block in range(k // m):
-        if block in skip:
-            continue
-        out += y[block * m:(block + 1) * m, block * m:(block + 1) * m]
-    return out
+    q = result.total_dim // m
+    v = result.unitary[:q * m, :n].reshape(q, m, n)  # V_b = block row b of U's first columns
+    if not include_absorbing:
+        v = v[np.setdiff1d(np.arange(q), result.absorbing_blocks)]
+    return np.tensordot(v @ rho, v.conj(), axes=([0, 2], [0, 2]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import defect, defect_star
+from .contraction import defects
 from .errors import DimensionMismatch, NotUnital, UnknownName
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger, hermitian_part, opnorm
 from .sampling import (
@@ -257,8 +257,9 @@ def positivity_inequality_suite(phi: MatrixLinearMap, trials: int,
 
         g = random_normal_contraction(rng, n)
         fgg = phi.apply(dagger(g) @ g)
-        fds = phi.apply(defect_star(g, tol))
-        fd = phi.apply(defect(g, tol))
+        pair = defects(g, tol)
+        fds = phi.apply(pair.d_t_star)
+        fd = phi.apply(pair.d_t)
         worst["defect_star_bound"] = min(worst["defect_star_bound"],
                                          min_eig(eye_m - fgg - fds @ fds))
         worst["defect_bound"] = min(worst["defect_bound"],

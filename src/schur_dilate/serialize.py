@@ -39,13 +39,22 @@ from .scparams import (
 )
 
 
+def _pairs(a: np.ndarray) -> list:
+    """Row-major ``[re, im]`` pairs of Python floats (``-0.0`` kept)."""
+    return np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
+
+
+def _complex_array(pairs) -> np.ndarray:
+    """Parse ``[re, im]`` number pairs; strings and nulls are not numbers."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
+
+
 def matrix_to_obj(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "data": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
-    }
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -53,18 +62,18 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data])
+    flat = _complex_array(data)
     if flat.size and not np.all(np.isfinite(flat.view(float))):
         raise ValueError("matrix data contains non-finite entries")
     return flat.reshape(rows, cols)
 
 
 def vector_to_obj(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return _pairs(np.asarray(v, dtype=complex))
 
 
 def vector_from_obj(obj) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in obj])
+    return _complex_array(obj)
 
 
 def params_to_obj(params) -> dict:
@@ -190,9 +199,37 @@ def dilation_from_obj(obj: dict) -> DilationResult:
     )
 
 
+_CHUNK = 1024  # list items per json.dumps call when writing long lists
+
+
+def _encode(obj):
+    """Yield the text of ``json.dumps(obj, sort_keys=True)`` in pieces.
+
+    ``json.dump`` runs the pure-Python encoder.  This walk opens dicts and
+    hands long lists to the C encoder slice by slice, and every other value
+    whole, so the document is never held as one string.
+    """
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield (", " if i else "") + json.dumps(key) + ": "
+            yield from _encode(obj[key])
+        yield "}"
+    elif isinstance(obj, (list, tuple)) and len(obj) > _CHUNK:
+        yield "["
+        for start in range(0, len(obj), _CHUNK):
+            yield (", " if start else "") + json.dumps(
+                obj[start:start + _CHUNK], sort_keys=True)[1:-1]
+        yield "]"
+    else:
+        yield json.dumps(obj, sort_keys=True)
+
+
 def dump(obj: dict, path) -> None:
+    """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True)`` plus a newline
+    would, byte for byte."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        fh.writelines(_encode(obj))
         fh.write("\n")
 
 

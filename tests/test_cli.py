@@ -93,6 +93,16 @@ def test_param_io_failure_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("entry", [["a", 0.0], [None, 0.0]])
+def test_param_non_numeric_entries_exit_1(tmp_path, capsys, entry):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"rows": 1, "cols": 1, "data": [entry]}))
+    code, _, err = run_cli(capsys, "param", "--kind", "psd", "--shape", "1",
+                           "--in", str(src), "--out", str(tmp_path / "p.json"))
+    assert code == 1
+    assert err.startswith("error: ")
+
+
 def test_dilate_basis_povm(tmp_path, capsys):
     povm_file = tmp_path / "povm.json"
     out = tmp_path / "u.json"

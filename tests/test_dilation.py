@@ -267,3 +267,75 @@ def test_dilation_result_rejects_non_unitary():
     with pytest.raises(NotUnitary):
         DilationResult(kind="povm", unitary=np.eye(2) * 0.9,
                        system_span=(0, 1), ancilla_dim=1)
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the definitions they replace
+
+
+def simulate_by_conjugation(result, rho, include_absorbing=True):
+    """Block trace of U (e0 e0* (x) rho) U* over the ancilla."""
+    n, m, k = result.system_span[1], result.out_dim, result.total_dim
+    x = np.zeros((k, k), dtype=complex)
+    x[:n, :n] = rho
+    y = result.unitary @ x @ dagger(result.unitary)
+    skip = () if include_absorbing else result.absorbing_blocks
+    return sum(y[b * m:(b + 1) * m, b * m:(b + 1) * m]
+               for b in range(k // m) if b not in skip)
+
+
+def test_channel_simulate_matches_conjugation():
+    rng = rng_from_seed(111)
+    ch = KrausChannel(in_dim=3, out_dim=2,
+                      kraus=tuple(random_kraus_family(rng, 3, 2, 4)))
+    decreasing = KrausChannel(in_dim=3, out_dim=2,
+                              kraus=tuple(0.8 * e for e in ch.kraus[:3]))
+    results = [
+        channel_dilate(ch),
+        channel_dilate(ch, pad_to_ancilla=9),
+        channel_dilate(ch, freedom=(random_unitary(rng, 3), random_unitary(rng, 8))),
+        channel_dilate(decreasing, allow_trace_decreasing=True),
+    ]
+    assert results[-1].absorbing_blocks
+    for result in results:
+        for _ in range(3):
+            rho = random_density(rng, 3)
+            for include in (True, False):
+                np.testing.assert_allclose(
+                    channel_simulate(result, rho, include_absorbing=include),
+                    simulate_by_conjugation(result, rho, include), rtol=0, atol=1e-13)
+
+
+def verify_by_projectors(u, povm):
+    """Every povm_verify field from its per-projector definition."""
+    m, n = povm.dim, povm.outcomes
+    fs = povm_projectors(u)
+    k = len(fs)
+    return {
+        "completeness": frob(sum(fs) - np.eye(k)),
+        "idempotency": max(frob(f @ f - f) for f in fs),
+        "orthogonality": max([frob(fs[i] @ fs[j]) for i in range(k)
+                              for j in range(i + 1, k)], default=0.0),
+        "compression": max(np.abs(fs[i][:m, :m] - povm.effects[i]).max()
+                           for i in range(n)),
+        "extra_compression": max([np.abs(fs[i][:m, :m]).max() for i in range(n, k)],
+                                 default=0.0),
+    }
+
+
+def test_povm_verify_matches_projector_definitions():
+    rng = rng_from_seed(112)
+    mm = random_coisometry(rng, 3, 5)
+    povm = Povm.from_vectors([mm[:, j] for j in range(5)])
+    unitary = povm_dilate(povm).unitary
+    corrupted = np.array(unitary)
+    corrupted[:, 0] += 1e-3
+    corrupted[2, 6] -= 0.3j
+    non_unitary = 1.7 * random_unitary(rng, 8) + 0.4 * (
+        rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    for u in (unitary, corrupted, non_unitary):
+        got = povm_verify(u, povm)
+        for name, expected in verify_by_projectors(u, povm).items():
+            assert abs(getattr(got, name) - expected) <= 1e-13 * max(1.0, expected), name
+    assert povm_verify(unitary, povm).passed
+    assert not povm_verify(corrupted, povm).passed

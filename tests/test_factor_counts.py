@@ -1,8 +1,10 @@
-"""Factorization counts of the parametrizations, a deterministic cost gate.
+"""Factorization counts of the parametrizations, the channel dilation and the
+inequality suite, a deterministic cost gate.
 
 Each gamma costs one SVD, which gives both D_Gamma and D_Gamma*; ``eigh``
 is left to the positive roots of diagonal blocks.  The counts below are
-ceilings on the benchmark self-test's inputs.
+ceilings on the benchmark self-test's inputs; the inequality suite runs
+ten trials of the transpose witness.
 """
 
 import collections
@@ -10,7 +12,7 @@ import collections
 import numpy as np
 import pytest
 
-from schur_dilate import dilation, scparams
+from schur_dilate import dilation, maps, scparams
 
 
 @pytest.fixture
@@ -89,3 +91,11 @@ def test_channel_dilate_counts(counts):
     dilation.channel_dilate(channel)
     assert counts["eigh"] == 0
     assert counts["svd"] == 1
+
+
+def test_inequality_suite_counts(counts):
+    phi = maps.builtin_witness("transpose", dim=3)
+    counts.clear()
+    maps.positivity_inequality_suite(phi, trials=10, seed=0)
+    # one SVD per trial gives both defects of the normal contraction
+    assert counts["svd"] == 10

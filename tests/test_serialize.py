@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -36,6 +37,11 @@ def test_matrix_obj_validation():
     with pytest.raises(ValueError):
         serialize.matrix_from_obj(
             {"rows": 1, "cols": 1, "data": [[float("nan"), 0.0]]})
+    for entry in (["a", 0.0], [None, 0.0], ["1.0", 0.0], [0.0, "1.0"]):
+        with pytest.raises(ValueError):
+            serialize.matrix_from_obj({"rows": 1, "cols": 1, "data": [entry]})
+        with pytest.raises(ValueError):
+            serialize.vector_from_obj([entry])
 
 
 def test_row_params_roundtrip():
@@ -108,3 +114,49 @@ def test_channel_and_dilation_roundtrip():
     np.testing.assert_allclose(again.unitary, result.unitary, rtol=1e-15, atol=1e-300)
     assert again.system_span == result.system_span
     assert again.ancilla_dim == result.ancilla_dim
+
+
+def test_pairs_are_the_entrywise_floats():
+    a = np.array([[0.0, -0.0 + 1e-300j], [complex(1, -0.0), -2.5 - 0.0j]])
+    # the entrywise definition the stacked encoding replaces
+    expected = [[float(z.real), float(z.imag)] for z in a.reshape(-1)]
+    assert serialize.matrix_to_obj(a)["data"] == expected
+    assert json.dumps(serialize.matrix_to_obj(a)["data"]) == json.dumps(expected)
+    assert serialize.vector_to_obj(a[1]) == expected[2:]
+    # a transposed view is not C-contiguous; its pairs still follow row-major order
+    assert serialize.matrix_to_obj(a.T)["data"] == [expected[i] for i in (0, 2, 1, 3)]
+    assert json.dumps(serialize.vector_to_obj(a[1])) == json.dumps(expected[2:])
+
+
+def written(tmp_path, obj) -> str:
+    path = tmp_path / "out.json"
+    serialize.dump(obj, path)
+    return path.read_text(encoding="utf-8")
+
+
+def json_dump_text(obj) -> str:
+    fh = io.StringIO()
+    json.dump(obj, fh, sort_keys=True)
+    return fh.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    [],
+    {"b": [], "a": {}, "c": [[]]},
+    {"z": {"y": [1, 2.5, -0.0, None, True, "é\n"], "x": {"w": (3, 4)}}, "a": 1e-300},
+    [{"k": list(range(serialize._CHUNK))}, {"k": list(range(serialize._CHUNK + 1))}],
+    {"data": [[float(i), -float(i)] for i in range(2 * serialize._CHUNK + 1)]},
+    [[{"b": 1, "a": 2}] * (serialize._CHUNK + 1)],
+])
+def test_dump_bytes_match_json_dump(tmp_path, obj):
+    assert written(tmp_path, obj) == json_dump_text(obj)
+
+
+def test_dump_of_a_large_dilation_matches_json_dump(tmp_path):
+    rng = rng_from_seed(107)
+    q, _ = np.linalg.qr(complex_gaussian(rng, 256, 16))
+    ch = KrausChannel(16, 16, tuple(q[16 * i:16 * (i + 1)] for i in range(16)))
+    obj = serialize.dilation_to_obj(channel_dilate(ch))
+    assert obj["unitary"]["rows"] == 272
+    assert written(tmp_path, obj) == json_dump_text(obj)
