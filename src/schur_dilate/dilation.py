@@ -27,7 +27,7 @@ products ``F_i F_j`` of the definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,6 +165,7 @@ class DilationResult:
     inside C^k.  For channels, the total dimension is
     ``out_dim * ancilla_dim`` and ``absorbing_blocks`` lists the ancilla
     block rows added to restore trace preservation (empty if none).
+    ``unitarity`` is ``||U*U - I||_F``, computed once on construction.
     """
 
     kind: str  # "povm" | "channel"
@@ -175,13 +176,16 @@ class DilationResult:
     out_dim: int | None = None
     kraus_count: int | None = None
     absorbing_blocks: tuple[int, ...] = ()
+    unitarity: float = field(init=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.unitary, dtype=complex)
-        if unitarity_deviation(u) > 1e-9 * max(1.0, u.shape[0]):
+        deviation = unitarity_deviation(u)
+        if deviation > 1e-9 * max(1.0, u.shape[0]):
             raise NotUnitary("dilation result must be unitary")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
+        object.__setattr__(self, "unitarity", deviation)
 
     @property
     def total_dim(self) -> int:

@@ -116,23 +116,18 @@ def build_arrow(t, r, couplings, first: bool = True) -> np.ndarray:
     couplings = [np.asarray(s, dtype=complex) for s in couplings]
     k = len(couplings) + 1
     n = t.shape[0]
-    z = np.zeros((n, n), dtype=complex)
-    rows = [[z for _ in range(k)] for _ in range(k)]
-    if first:
-        for i in range(k - 1):
-            rows[i][i] = t
-        rows[k - 1][k - 1] = r
-        for i, s in enumerate(couplings):
-            rows[i][k - 1] = s
-            rows[k - 1][i] = s
-    else:
-        rows[0][0] = t
-        for i in range(1, k):
-            rows[i][i] = r
-        for i, s in enumerate(couplings):
-            rows[0][i + 1] = s
-            rows[i + 1][0] = s
-    return np.block(rows)
+    hub, spokes = (k - 1, range(k - 1)) if first else (0, range(1, k))
+    out = np.zeros((k * n, k * n), dtype=complex)
+
+    def block(i, j):
+        return slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
+
+    out[block(hub, hub)] = r if first else t
+    for i, s in zip(spokes, couplings):
+        out[block(i, i)] = t if first else r
+        out[block(i, hub)] = s
+        out[block(hub, i)] = s
+    return out
 
 
 def build_span3(a, b, c, pattern: str) -> np.ndarray:
@@ -153,7 +148,10 @@ def _gen_arrow(rng, n, k, tol, first):
 
     Symmetrizing T^(1/2) G R^(1/2) can lose positivity, so rejection
     halves the couplings; the block-diagonal limit is PSD, hence
-    termination.
+    termination.  The matrix is built once: each rejection halves the
+    hub's off-diagonal strips in place, which is exact in binary floating
+    point, so every attempt sees the matrix a rebuild from the halved
+    couplings would give.
     """
     if k < 2:
         raise UnsupportedCombination("arrow families need at least 2 blocks")
@@ -164,11 +162,14 @@ def _gen_arrow(rng, n, k, tol, first):
         hermitian_part(rt @ random_contraction(rng, n, n) @ rr) / np.sqrt(k - 1)
         for _ in range(k - 1)
     ]
+    a = build_arrow(t, r, couplings, first)
+    hub = slice((k - 1) * n, k * n) if first else slice(0, n)
+    spokes = slice(0, (k - 1) * n) if first else slice(n, k * n)
     for _ in range(80):
-        a = build_arrow(t, r, couplings, first)
         if is_psd(a, tol):
             return a
-        couplings = [s / 2 for s in couplings]
+        a[hub, spokes] /= 2
+        a[spokes, hub] /= 2
     raise NotPSD("arrow sample rejected repeatedly")  # pragma: no cover
 
 

@@ -45,11 +45,20 @@ def _pairs(a: np.ndarray) -> list:
 
 
 def _complex_array(pairs) -> np.ndarray:
-    """Parse ``[re, im]`` number pairs; strings and nulls are not numbers."""
+    """Parse ``[re, im]`` number pairs; strings, nulls and booleans are not
+    numbers.
+
+    ``complex`` accepts ``True`` and ``False``, so pairs holding a boolean are
+    left out in the same pass and the shorter result is the error.
+    """
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        values = [complex(re, im) for re, im in pairs
+                  if type(re) is not bool and type(im) is not bool]
     except TypeError as exc:
         raise ValueError(f"entries must be [re, im] number pairs: {exc}") from exc
+    if len(values) != len(pairs):
+        raise ValueError("entries must be [re, im] number pairs, not booleans")
+    return np.array(values, dtype=complex)
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:

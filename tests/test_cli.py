@@ -7,6 +7,7 @@ import pytest
 
 from schur_dilate import serialize
 from schur_dilate.cli import main
+from schur_dilate.linalg import unitarity_deviation
 from schur_dilate.sampling import complex_gaussian, rng_from_seed
 
 
@@ -93,7 +94,7 @@ def test_param_io_failure_exits_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("entry", [["a", 0.0], [None, 0.0]])
+@pytest.mark.parametrize("entry", [["a", 0.0], [None, 0.0], [True, 0.0]])
 def test_param_non_numeric_entries_exit_1(tmp_path, capsys, entry):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"rows": 1, "cols": 1, "data": [entry]}))
@@ -149,6 +150,8 @@ def test_dilate_channel_with_simulation(tmp_path, capsys):
                               "--simulate", "20", "--seed", "7", "--out", str(out))
     assert code == 0
     report = json.loads(stdout)
+    assert report["unitarity"] == unitarity_deviation(
+        serialize.dilation_from_obj(serialize.load(out)).unitary)
     assert report["simulate_trials"] == 20
     assert report["simulate_max_deviation"] <= 1e-10
 

@@ -21,7 +21,7 @@ from schur_dilate.errors import (
     NotUnitary,
     PaddingTooSmall,
 )
-from schur_dilate.linalg import dagger, frob
+from schur_dilate.linalg import dagger, frob, unitarity_deviation
 from schur_dilate.sampling import (
     random_coisometry,
     random_density,
@@ -261,6 +261,14 @@ def test_channel_simulate_validation():
         channel_simulate(result, np.diag([1.0, -0.2]))
     with pytest.raises(NotState):
         channel_simulate(result, np.diag([0.9, 0.9]))
+
+
+def test_dilation_result_keeps_its_unitarity_deviation():
+    result = channel_dilate(amplitude_damping())
+    assert result.unitarity == unitarity_deviation(result.unitary)
+    with pytest.raises(TypeError):
+        DilationResult(kind="povm", unitary=np.eye(2), system_span=(0, 1),
+                       ancilla_dim=1, unitarity=0.0)
 
 
 def test_dilation_result_rejects_non_unitary():

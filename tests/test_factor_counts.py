@@ -4,7 +4,9 @@ inequality suite, a deterministic cost gate.
 Each gamma costs one SVD, which gives both D_Gamma and D_Gamma*; ``eigh``
 is left to the positive roots of diagonal blocks.  The counts below are
 ceilings on the benchmark self-test's inputs; the inequality suite runs
-ten trials of the transpose witness.
+ten trials of the transpose witness.  The witness harness applies I_k (x) phi
+as one matmul and tests positivity with one ``eigvalsh``; arrow samples are
+built once, without ``np.block``.
 """
 
 import collections
@@ -12,13 +14,14 @@ import collections
 import numpy as np
 import pytest
 
-from schur_dilate import dilation, maps, scparams
+from schur_dilate import dilation, families, maps, scparams
 
 
 @pytest.fixture
 def counts(monkeypatch):
     seen = collections.Counter()
     eigh, svd, pinv, norm = np.linalg.eigh, np.linalg.svd, np.linalg.pinv, np.linalg.norm
+    eigvalsh, block, apply = np.linalg.eigvalsh, np.block, maps.MatrixLinearMap.apply
 
     def counting_eigh(*args, **kwargs):
         seen["eigh"] += 1
@@ -37,7 +40,22 @@ def counts(monkeypatch):
             seen["norm2"] += 1
         return norm(x, ord, *args, **kwargs)
 
+    def counting_eigvalsh(*args, **kwargs):
+        seen["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_block(*args, **kwargs):
+        seen["block"] += 1
+        return block(*args, **kwargs)
+
+    def counting_apply(*args, **kwargs):
+        seen["apply"] += 1
+        return apply(*args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np, "block", counting_block)
+    monkeypatch.setattr(maps.MatrixLinearMap, "apply", counting_apply)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
@@ -99,3 +117,21 @@ def test_inequality_suite_counts(counts):
     maps.positivity_inequality_suite(phi, trials=10, seed=0)
     # one SVD per trial gives both defects of the normal contraction
     assert counts["svd"] == 10
+
+
+def test_witness_check_counts(counts):
+    phi = maps.builtin_witness("choi3", dim=3)
+    sample = families.gen_family("span3_1", 3, seed=0, block_count=16)
+    counts.clear()
+    families.witness_check(phi, sample)
+    assert counts["apply"] == 0
+    assert counts["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize("family", ["arrow_first", "arrow_second"])
+def test_arrow_generation_counts(counts, family):
+    counts.clear()
+    families.gen_family(family, 3, seed=1, block_count=8)
+    # seed 1 is rejected three times before it is accepted
+    assert counts["eigvalsh"] == 4
+    assert counts["block"] == 0

@@ -15,9 +15,14 @@ from schur_dilate.families import (
     gen_family,
     witness_check,
 )
-from schur_dilate.linalg import dagger, hermitian_part, is_psd, kron
+from schur_dilate.linalg import dagger, hermitian_part, is_psd, kron, sqrt_psd
 from schur_dilate.maps import builtin_witness, map_from_kraus_pairs
-from schur_dilate.sampling import random_psd, rng_from_seed
+from schur_dilate.sampling import (
+    complex_gaussian,
+    random_contraction,
+    random_psd,
+    rng_from_seed,
+)
 
 
 def blocks_of(a, k, n):
@@ -117,6 +122,60 @@ def test_arrow_builder_keeps_placement():
     np.testing.assert_allclose(b[(1, 1)], r)
     np.testing.assert_allclose(b[(0, 1)], s[0])
     np.testing.assert_allclose(b[(2, 0)], s[1])
+
+
+def arrow_by_np_block(t, r, couplings, first):
+    """The arrow pattern assembled from k x k block lists."""
+    k, n = len(couplings) + 1, t.shape[0]
+    z = np.zeros((n, n), dtype=complex)
+    rows = [[z] * k for _ in range(k)]
+    if first:
+        for i in range(k - 1):
+            rows[i][i] = t
+        rows[k - 1][k - 1] = r
+        for i, s in enumerate(couplings):
+            rows[i][k - 1] = rows[k - 1][i] = s
+    else:
+        rows[0][0] = t
+        for i in range(1, k):
+            rows[i][i] = r
+        for i, s in enumerate(couplings):
+            rows[0][i + 1] = rows[i + 1][0] = s
+    return np.block(rows)
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("k", [2, 5])
+def test_build_arrow_equals_np_block(first, k):
+    rng = rng_from_seed(85)
+    t, r = random_psd(rng, 3), random_psd(rng, 3)
+    s = [complex_gaussian(rng, 3, 3) for _ in range(k - 1)]
+    assert np.array_equal(build_arrow(t, r, s, first), arrow_by_np_block(t, r, s, first))
+
+
+def arrow_by_rebuild(block_dim, k, seed, first):
+    """Arrow sample rebuilt from the halved coupling lists on every rejection;
+    returns the sample and its number of rejections."""
+    n, rng = block_dim, rng_from_seed(seed)
+    t, r = random_psd(rng, n), random_psd(rng, n)
+    rt, rr = sqrt_psd(t), sqrt_psd(r)
+    couplings = [hermitian_part(rt @ random_contraction(rng, n, n) @ rr) / np.sqrt(k - 1)
+                 for _ in range(k - 1)]
+    for rejections in range(80):
+        a = arrow_by_np_block(t, r, couplings, first)
+        if is_psd(a):
+            return a, rejections
+        couplings = [s / 2 for s in couplings]
+    raise AssertionError("reference arrow sample never accepted")
+
+
+@pytest.mark.parametrize("family", ["arrow_first", "arrow_second"])
+@pytest.mark.parametrize("block_dim,k,seed", [(3, 8, 1), (3, 8, 27), (2, 3, 25), (3, 3, 28)])
+def test_arrow_halving_in_place_equals_rebuild(family, block_dim, k, seed):
+    reference, rejections = arrow_by_rebuild(block_dim, k, seed, family == "arrow_first")
+    assert rejections >= 2
+    sample = gen_family(family, block_dim, seed, block_count=k)
+    assert np.array_equal(sample.matrix, reference)
 
 
 def test_gen_family_determinism():

@@ -141,6 +141,56 @@ def test_apply_blockwise_shape_check():
         apply_blockwise(phi, np.eye(5), 2)
 
 
+def apply_per_block(phi, a, k):
+    """I_k (x) phi as one ``phi.apply`` per block."""
+    n, m = phi.in_dim, phi.out_dim
+    out = np.zeros((k * m, k * m), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            out[i * m:(i + 1) * m, j * m:(j + 1) * m] = phi.apply(
+                a[i * n:(i + 1) * n, j * n:(j + 1) * n])
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("name,dim", [("transpose", 3), ("reduction", 3),
+                                      ("reduction", 4), ("choi3", 3)])
+def test_apply_blockwise_equals_per_block_apply(name, dim, k):
+    phi = builtin_witness(name, dim)
+    a = complex_gaussian(rng_from_seed(78 + k), k * dim, k * dim)
+    np.testing.assert_allclose(apply_blockwise(phi, a, k),
+                               apply_per_block(phi, a, k), rtol=0, atol=1e-14)
+
+
+def test_apply_blockwise_rectangular_kraus_map():
+    rng = rng_from_seed(79)
+    # X (3 x 3) -> sum_i A_i X B_i* (2 x 2)
+    phi = map_from_kraus_pairs([(complex_gaussian(rng, 2, 3), complex_gaussian(rng, 2, 3))
+                                for _ in range(2)])
+    assert (phi.in_dim, phi.out_dim) == (3, 2)
+    a = complex_gaussian(rng, 12, 12)
+    out = apply_blockwise(phi, a, 4)
+    assert out.shape == (8, 8)
+    np.testing.assert_allclose(out, apply_per_block(phi, a, 4), rtol=0, atol=1e-14)
+
+
+def test_apply_blockwise_non_contiguous_input():
+    phi = builtin_witness("choi3", 3)
+    a = complex_gaussian(rng_from_seed(80), 12, 12).T
+    assert not a.flags.c_contiguous
+    out = apply_blockwise(phi, a, 4)
+    assert np.array_equal(out, apply_blockwise(phi, np.ascontiguousarray(a), 4))
+    np.testing.assert_allclose(out, apply_per_block(phi, a, 4), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_apply_blockwise_rejects_non_finite(bad):
+    a = np.eye(6, dtype=complex)
+    a[4, 1] = bad
+    with pytest.raises(ValueError):
+        apply_blockwise(builtin_witness("transpose", 3), a, 2)
+
+
 @pytest.mark.parametrize("name", ["transpose", "reduction", "choi3"])
 def test_witnesses_preserve_hermiticity(name):
     phi = builtin_witness(name, 3)

@@ -44,6 +44,15 @@ def test_matrix_obj_validation():
             serialize.vector_from_obj([entry])
 
 
+@pytest.mark.parametrize("entry", [[True, False], [0.5, True], [False, 0.0]])
+def test_boolean_entries_are_rejected(entry):
+    data = json.loads(json.dumps([[0.25, -1.0], entry]))   # JSON true/false
+    with pytest.raises(ValueError, match="booleans"):
+        serialize.matrix_from_obj({"rows": 1, "cols": 2, "data": data})
+    with pytest.raises(ValueError, match="booleans"):
+        serialize.vector_from_obj(data)
+
+
 def test_row_params_roundtrip():
     rng = rng_from_seed(102)
     t = random_contraction(rng, 2, 6)
