@@ -160,6 +160,8 @@ def cmd_dilate(args, tol: Tolerances) -> int:
 
 
 def cmd_witness(args, tol: Tolerances) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
     lines = [_emit({"schur_dilate_version": __version__})]
     worst = float("inf")
     all_passed = True

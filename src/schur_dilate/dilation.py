@@ -17,7 +17,9 @@ embedded input by ``U`` and trace out the ancilla (the first, slow tensor
 factor) to recover ``sum_i E_i rho E_i*``.  Both completions carry the
 freedom ``diag(I, U_1) . U . diag(I, U_2)``; the freedom never touches the
 first block column, so simulated outputs and compressions are invariant
-under it.  ``julia_block`` and ``with_freedom`` build both; one SVD each.
+under it.  Up to an adjoint (``julia(T)* = julia(T*)``, with ``T = M*`` for
+the POVM) both complete an isometry ``V``, whose defects ``D_V = 0`` and
+``D_V* = I - VV*`` need no SVD: ``_isometry_julia`` builds both.
 
 Checks stay below the cost of the completion itself: ``channel_simulate``
 reads only ``U[:, :n]`` (O(k n^2) per state), and ``povm_verify`` takes
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import DefectPair, defect, defects, julia_block, with_freedom
+from .contraction import with_freedom
 from .contraction import defect_star  # noqa: F401 - bench/selftest.py looks it up here
 from .errors import (
     DimensionMismatch,
@@ -56,13 +58,33 @@ from .linalg import (
 )
 
 
-def _check_unitary_factor(u: np.ndarray, side: int, name: str) -> np.ndarray:
-    u = as_matrix(u, name)
-    if u.shape != (side, side):
-        raise DimensionMismatch(f"{name} must be {side} x {side}, got {u.shape}")
-    if unitarity_deviation(u) > 1e-10 * max(1.0, side):
-        raise NotUnitary(f"{name} is not unitary")
+def _isometry_julia(v: np.ndarray, size: int) -> np.ndarray:
+    """Julia unitary ``[[V, I - VV*], [0, -V*]]`` of an r x n isometry V
+    (``V*V = I``, so ``D_V = 0`` and ``D_V*`` is the projection ``I - VV*``),
+    followed by an identity block up to ``size``."""
+    r, n = v.shape
+    k0 = r + n
+    u = np.zeros((size, size), dtype=complex)
+    u[:r, :n] = v
+    u[:r, n:k0] = np.eye(r) - v @ dagger(v)
+    u[r:k0, n:k0] = -dagger(v)
+    u[k0:, k0:] = np.eye(size - k0)
     return u
+
+
+def _apply_freedom(u: np.ndarray, freedom, p: int, q: int):
+    """Check ``freedom = (U1, U2)`` (p- and q-square unitaries) and apply
+    ``diag(I, U1) . u . diag(I, U2)`` in place; returns the checked pair."""
+    if freedom is None:
+        return None
+    checked = tuple(as_matrix(f, name) for f, name in zip(freedom, ("U1", "U2")))
+    for f, side, name in zip(checked, (p, q), ("U1", "U2")):
+        if f.shape != (side, side):
+            raise DimensionMismatch(f"{name} must be {side} x {side}, got {f.shape}")
+        if unitarity_deviation(f) > 1e-10 * max(1.0, side):
+            raise NotUnitary(f"{name} is not unitary")
+    with_freedom(u, *checked)
+    return checked
 
 
 @dataclass(frozen=True)
@@ -97,6 +119,8 @@ class Povm:
     @classmethod
     def from_vectors(cls, vectors) -> "Povm":
         vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        if not vs:
+            raise ValueError("at least one effect required")
         dim = vs[0].shape[0]
         effects = [np.outer(v, v.conj()) for v in vs]
         return cls(dim=dim, effects=tuple(effects), vectors=tuple(vs))
@@ -105,6 +129,8 @@ class Povm:
     def from_effects(cls, effects, tol: Tolerances = DEFAULT_TOL) -> "Povm":
         """Build from effects, extracting vectors when every effect is rank one."""
         effects = [as_matrix(e, "effect") for e in effects]
+        if not effects:
+            raise ValueError("at least one effect required")
         dim = effects[0].shape[0]
         vectors = []
         for e in effects:
@@ -206,13 +232,8 @@ def povm_dilate(povm: Povm, freedom=None, tol: Tolerances = DEFAULT_TOL) -> Dila
     mm = np.column_stack(povm.vectors)
     if np.abs(mm @ dagger(mm) - np.eye(m)).max() > 1e-10:
         raise NotResolution("vectors do not resolve the identity")
-    u = julia_block(mm, DefectPair(defect(mm, tol), np.zeros((m, m))))
-    applied = None
-    if freedom is not None:
-        u1 = _check_unitary_factor(freedom[0], n, "U1")
-        u2 = _check_unitary_factor(freedom[1], m, "U2")
-        u = with_freedom(u, u1, u2)
-        applied = (u1, u2)
+    u = dagger(_isometry_julia(dagger(mm), m + n))  # [[M, 0], [I - M*M, -M*]]
+    applied = _apply_freedom(u, freedom, n, m)
     return DilationResult(kind="povm", unitary=u, system_span=(0, m),
                           ancilla_dim=n, freedom=applied)
 
@@ -272,25 +293,6 @@ def povm_verify(result, povm: Povm,
                             extra_compression=extra, passed=passed)
 
 
-def _absorbing_ops(ch: KrausChannel, tol: Tolerances) -> list[np.ndarray]:
-    """Kraus completions routing the lost trace to flagged outcomes.
-
-    The deficit Q = I - sum E*E is factored through its positive root and
-    the root's rows are chunked into out_dim-row operators, so the
-    extended family stays shape-homogeneous.
-    """
-    n, m = ch.in_dim, ch.out_dim
-    deficit = np.eye(n) - sum(dagger(e) @ e for e in ch.kraus)
-    root = sqrt_psd(deficit, tol)
-    chunks = []
-    for start in range(0, n, m):
-        block = root[start:start + m, :]
-        if block.shape[0] < m:
-            block = np.vstack([block, np.zeros((m - block.shape[0], n))])
-        chunks.append(block)
-    return chunks
-
-
 def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = None,
                    tol: Tolerances = DEFAULT_TOL,
                    allow_trace_decreasing: bool = False) -> DilationResult:
@@ -303,7 +305,9 @@ def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = 
     larger ancilla than the minimal one.
 
     Trace-decreasing channels are refused unless ``allow_trace_decreasing``
-    is set, in which case flagged absorbing outcomes restore the isometry.
+    is set; then the rows of ``(I - T*T)^(1/2)`` and zero rows up to a
+    multiple of ``out_dim`` complete the stack to an isometry.  They form
+    its last ``ceil(in_dim / out_dim)`` blocks, the ``absorbing_blocks``.
     """
     n, m = ch.in_dim, ch.out_dim
     ops = list(ch.kraus)
@@ -312,30 +316,19 @@ def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = 
         if not allow_trace_decreasing:
             raise NotTracePreserving("sum E*E != I; pass allow_trace_decreasing=True "
                                      "to dilate with absorbing outcomes")
-        extra = _absorbing_ops(ch, tol)
-        absorbing = tuple(range(len(ops), len(ops) + len(extra)))
-        ops = ops + extra
+        absorbing = tuple(range(len(ops), len(ops) - (-n // m)))
+        deficit = np.eye(n) - sum(dagger(e) @ e for e in ch.kraus)
+        ops += [sqrt_psd(deficit, tol), np.zeros((-n % m, n))]
     t = np.vstack(ops)
     rm = t.shape[0]
-    u = julia_block(t, defects(t, tol))  # D_T is exactly zero for an isometric stack
-    applied = None
-    if freedom is not None:
-        u1 = _check_unitary_factor(freedom[0], n, "U1")
-        u2 = _check_unitary_factor(freedom[1], rm, "U2")
-        u = with_freedom(u, u1, u2)
-        applied = (u1, u2)
     k0 = rm + n
     minimal = -(-k0 // m)  # ceil
     ancilla = minimal if pad_to_ancilla is None else int(pad_to_ancilla)
     if ancilla * m < k0:
         raise PaddingTooSmall(
             f"ancilla dim {ancilla} gives total {ancilla * m} < minimal {k0}")
-    pad = ancilla * m - k0
-    if pad:
-        u = np.block([
-            [u, np.zeros((k0, pad))],
-            [np.zeros((pad, k0)), np.eye(pad)],
-        ])
+    u = _isometry_julia(t, ancilla * m)
+    applied = _apply_freedom(u[:k0, :k0], freedom, n, rm)
     return DilationResult(kind="channel", unitary=u, system_span=(0, n),
                           ancilla_dim=ancilla, freedom=applied, out_dim=m,
                           kraus_count=len(ch.kraus), absorbing_blocks=absorbing)

@@ -196,8 +196,11 @@ def gen_family(family: str, block_dim: int, seed: int,
     """Draw one seeded sample of a structured family.
 
     ``block_count`` applies to the variable-size families (arrow, span);
-    the others fix it.  span families fix ``block_dim`` = 3.
+    the others fix it.  ``None`` selects the default size (3 arrow, 2 span
+    blocks).  span families fix ``block_dim`` = 3.
     """
+    if block_count is not None and block_count < 1:
+        raise UnsupportedCombination(f"block_count must be positive, got {block_count}")
     rng = rng_from_seed(seed)
     if family == "toeplitz2":
         matrix = build_toeplitz2(random_psd(rng, block_dim),
@@ -210,12 +213,12 @@ def gen_family(family: str, block_dim: int, seed: int,
                                   tol=tol)
         k = 3
     elif family in ("arrow_first", "arrow_second"):
-        k = block_count or 3
+        k = 3 if block_count is None else block_count
         matrix = _gen_arrow(rng, block_dim, k, tol, first=family == "arrow_first")
     elif family in SPAN_FRAMES:
         if block_dim != 3:
             raise UnsupportedCombination(f"{family} fixes block_dim = 3")
-        k = block_count or 2
+        k = 2 if block_count is None else block_count
         matrix = _gen_span3(rng, k, family)
     else:
         raise UnsupportedCombination(f"unknown family {family!r}")

@@ -32,10 +32,11 @@ class Tolerances:
     recon_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.psd_tol <= 0 or self.recon_tol <= 0:
-            raise ValueError("tolerances must be strictly positive")
-        if self.rank_tol is not None and self.rank_tol <= 0:
-            raise ValueError("rank_tol must be strictly positive or None")
+        # written so that nan fails too: nan <= 0 is False
+        if not (0 < self.psd_tol < np.inf and 0 < self.recon_tol < np.inf):
+            raise ValueError("tolerances must be finite and strictly positive")
+        if self.rank_tol is not None and not 0 < self.rank_tol < np.inf:
+            raise ValueError("rank_tol must be finite and strictly positive or None")
 
 
 DEFAULT_TOL = Tolerances()

@@ -257,3 +257,43 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "param", "--kind", "psd", "--shape", "1+1",
                          "--in", str(src), "--out", str(out))
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1e-4", "abc"])
+def test_bad_tolerance_env_exits_1(capsys, monkeypatch, value):
+    # with tol = inf the Bell projector would pass the transpose witness
+    monkeypatch.setenv("SCHUR_DILATE_TOL", value)
+    code, stdout, err = run_cli(capsys, "witness", "--family", "bell-control",
+                                "--witness", "transpose", "--seed", "0")
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: bad SCHUR_DILATE_TOL: ")
+
+
+@pytest.mark.parametrize("obj", [{"dim": 2, "vectors": []}, {"dim": 2, "effects": []}])
+def test_dilate_empty_povm_exits_1(tmp_path, capsys, obj):
+    povm_file = tmp_path / "povm.json"
+    povm_file.write_text(json.dumps(obj))
+    code, _, err = run_cli(capsys, "dilate", "--povm", str(povm_file),
+                           "--out", str(tmp_path / "u.json"))
+    assert code == 1
+    assert err == "error: at least one effect required\n"
+
+
+def test_witness_zero_blocks_exits_2(capsys):
+    code, _, err = run_cli(capsys, "witness", "--family", "arrow_first",
+                           "--witness", "transpose", "--trials", "2",
+                           "--seed", "0", "--blocks", "0")
+    assert code == 2
+    assert "UnsupportedCombination" in err
+
+
+@pytest.mark.parametrize("family", ["toeplitz2", "bell-control"])
+def test_witness_zero_trials_exits_1(tmp_path, capsys, family):
+    out = tmp_path / "r.jsonl"
+    code, _, err = run_cli(capsys, "witness", "--family", family,
+                           "--witness", "transpose", "--trials", "0",
+                           "--seed", "0", "--block-dim", "2", "--out", str(out))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert not out.exists()

@@ -21,7 +21,8 @@ from schur_dilate.errors import (
     NotUnitary,
     PaddingTooSmall,
 )
-from schur_dilate.linalg import dagger, frob, unitarity_deviation
+from schur_dilate.contraction import defects, julia_block, with_freedom
+from schur_dilate.linalg import dagger, frob, sqrt_psd, unitarity_deviation
 from schur_dilate.sampling import (
     random_coisometry,
     random_density,
@@ -52,6 +53,13 @@ def test_povm_requires_resolution_of_identity():
         Povm.from_vectors([np.array([1.0, 0.0])])
     with pytest.raises(NotResolution):
         Povm(dim=2, effects=(np.diag([1.0, -0.5]), np.diag([0.0, 1.5])))
+
+
+def test_empty_povm_is_rejected():
+    with pytest.raises(ValueError, match="at least one effect required"):
+        Povm.from_vectors([])
+    with pytest.raises(ValueError, match="at least one effect required"):
+        Povm.from_effects([])
 
 
 def test_povm_from_effects_extracts_rank_one_vectors():
@@ -347,3 +355,58 @@ def test_povm_verify_matches_projector_definitions():
             assert abs(getattr(got, name) - expected) <= 1e-13 * max(1.0, expected), name
     assert povm_verify(unitary, povm).passed
     assert not povm_verify(corrupted, povm).passed
+
+
+# ---------------------------------------------------------------------------
+# The isometry core against the SVD construction it replaces
+
+
+def svd_julia(t, size, freedom=None):
+    """julia_block(T, defects(T)), its freedom applied, then (+) I up to ``size``."""
+    u = julia_block(t, defects(t))
+    if freedom is not None:
+        u = with_freedom(u, *freedom)
+    out = np.eye(size, dtype=complex)
+    out[:len(u), :len(u)] = u
+    return out
+
+
+def test_channel_dilations_match_svd_julia():
+    rng = rng_from_seed(121)
+    ch = KrausChannel(in_dim=3, out_dim=2,
+                      kraus=tuple(random_kraus_family(rng, 3, 2, 4)))
+    t = np.vstack(ch.kraus)  # 8 x 3
+    u1, u2 = random_unitary(rng, 3), random_unitary(rng, 8)
+    # in_dim 3 is not a multiple of out_dim 2: the root's 3 rows get one zero row
+    decreasing = KrausChannel(in_dim=3, out_dim=2,
+                              kraus=tuple(0.8 * e for e in ch.kraus[:3]))
+    deficit = np.eye(3) - sum(dagger(e) @ e for e in decreasing.kraus)
+    t_dec = np.vstack([*decreasing.kraus, sqrt_psd(deficit), np.zeros((1, 3))])
+    cases = [
+        (channel_dilate(ch), t, svd_julia(t, 12)),
+        (channel_dilate(ch, pad_to_ancilla=9), t, svd_julia(t, 18)),
+        (channel_dilate(ch, freedom=(u1, u2)), t, svd_julia(t, 12, (u1, u2))),
+        (channel_dilate(decreasing, allow_trace_decreasing=True), t_dec,
+         svd_julia(t_dec, 14)),
+    ]
+    assert cases[-1][0].absorbing_blocks == (3, 4)
+    for result, stack, expected in cases:
+        np.testing.assert_allclose(result.unitary, expected, rtol=0, atol=1e-13)
+        r = stack.shape[0]
+        assert not result.unitary[r:r + 3, :3].any()  # D_T of the isometric stack
+
+
+def test_povm_dilations_match_svd_julia():
+    rng = rng_from_seed(122)
+    mm = random_coisometry(rng, 3, 7)
+    povm = Povm.from_vectors([mm[:, j] for j in range(7)])
+    u1, u2 = random_unitary(rng, 7), random_unitary(rng, 3)
+    # julia(M*)* = julia(M): the POVM dilation is the adjoint completion of M*
+    expected = dagger(svd_julia(dagger(mm), 10))
+    cases = [
+        (povm_dilate(povm), expected),
+        (povm_dilate(povm, freedom=(u1, u2)), with_freedom(expected.copy(), u1, u2)),
+    ]
+    for result, want in cases:
+        np.testing.assert_allclose(result.unitary, want, rtol=0, atol=1e-13)
+        assert not result.unitary[:3, 7:].any()  # D_M* of the co-isometry

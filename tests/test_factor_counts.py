@@ -1,4 +1,4 @@
-"""Factorization counts of the parametrizations, the channel dilation and the
+"""Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
 Each gamma costs one SVD, which gives both D_Gamma and D_Gamma*; ``eigh``
@@ -6,7 +6,8 @@ is left to the positive roots of diagonal blocks.  The counts below are
 ceilings on the benchmark self-test's inputs; the inequality suite runs
 ten trials of the transpose witness.  The witness harness applies I_k (x) phi
 as one matmul and tests positivity with one ``eigvalsh``; arrow samples are
-built once, without ``np.block``.
+built once, without ``np.block``.  Both dilations complete an isometry, whose
+Julia unitary needs no factorization at all.
 """
 
 import collections
@@ -107,8 +108,21 @@ def test_channel_dilate_counts(counts):
     _, _, channel = inputs()
     counts.clear()
     dilation.channel_dilate(channel)
+    # the Kraus stack is an isometry: D_T = 0 and D_T* = I - TT*, no SVD
     assert counts["eigh"] == 0
-    assert counts["svd"] == 1
+    assert counts["svd"] == 0
+    assert counts["block"] == 0
+
+
+def test_povm_dilate_counts(counts):
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)))
+    povm = dilation.Povm.from_vectors(q.conj())  # rows of Q*: 64 vectors in C^8
+    counts.clear()
+    dilation.povm_dilate(povm)
+    assert counts["eigh"] == 0
+    assert counts["svd"] == 0
+    assert counts["block"] == 0
 
 
 def test_inequality_suite_counts(counts):

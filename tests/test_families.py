@@ -194,6 +194,14 @@ def test_gen_family_bad_combinations():
         gen_family("unknown", 2, seed=0)
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("block_count", [0, -2])
+def test_gen_family_rejects_non_positive_block_count(family, block_count):
+    # only None selects the default size; 0 must not fall back to it
+    with pytest.raises(UnsupportedCombination):
+        gen_family(family, 3, seed=0, block_count=block_count)
+
+
 def test_witness_check_identity_map_passes():
     ident = map_from_kraus_pairs([(np.eye(3), np.eye(3))])
     sample = gen_family("toeplitz2", 3, seed=3)

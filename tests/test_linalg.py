@@ -23,6 +23,11 @@ def test_tolerances_must_be_positive():
     with pytest.raises(ValueError):
         Tolerances(rank_tol=0.0)
     Tolerances(rank_tol=None)  # auto cutoff is allowed
+    # non-finite values slip past a plain "<= 0" test, since nan <= 0 is False
+    for bad in (float("nan"), float("inf")):
+        for field in ("psd_tol", "recon_tol", "rank_tol"):
+            with pytest.raises(ValueError):
+                Tolerances(**{field: bad})
 
 
 def test_herm_eig_identity():
