@@ -18,6 +18,7 @@ flags and seed produce byte-identical reports (modulo the version header).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from . import serialize
+from .contraction import CLIP_SLACK
 from .dilation import channel_dilate, channel_simulate, povm_dilate, povm_verify
 from .errors import NoConvergence, SchurDilateError
 from .families import (
@@ -119,29 +121,22 @@ def _load_freedom(path):
 def cmd_dilate(args, tol: Tolerances) -> int:
     freedom = _load_freedom(args.freedom) if args.freedom else None
     if args.povm:
-        povm = serialize.povm_from_obj(serialize.load(args.povm))
+        povm = serialize.povm_from_obj(serialize.load(args.povm), tol)
         result = povm_dilate(povm, freedom=freedom, tol=tol)
-        verification = povm_verify(result, povm)
-        report = {
-            "kind": "povm",
-            "total_dim": result.total_dim,
-            "completeness": verification.completeness,
-            "idempotency": verification.idempotency,
-            "orthogonality": verification.orthogonality,
-            "compression": verification.compression,
-            "extra_compression": verification.extra_compression,
-            "passed": verification.passed,
-        }
+        report = {"kind": "povm", "total_dim": result.total_dim,
+                  **dataclasses.asdict(povm_verify(result, povm, tol))}
     else:
         channel = serialize.channel_from_obj(serialize.load(args.channel))
         result = channel_dilate(channel, freedom=freedom,
                                 pad_to_ancilla=args.pad, tol=tol)
+        # DilationResult has already bounded the unitarity; only a
+        # simulation can fail the report
         report = {
             "kind": "channel",
             "total_dim": result.total_dim,
             "ancilla_dim": result.ancilla_dim,
             "unitarity": result.unitarity,
-            "passed": result.unitarity <= 1e-9 * max(1.0, result.total_dim),
+            "passed": True,
         }
         if args.simulate:
             rng = rng_from_seed(args.seed)
@@ -153,7 +148,7 @@ def cmd_dilate(args, tol: Tolerances) -> int:
                 worst = max(worst, float(np.abs(direct - via_unitary).max()))
             report["simulate_trials"] = args.simulate
             report["simulate_max_deviation"] = worst
-            report["passed"] = bool(report["passed"] and worst <= 1e-9)
+            report["passed"] = worst <= CLIP_SLACK
     serialize.dump(serialize.dilation_to_obj(result), args.out)
     print(_emit(report))
     return EXIT_OK if report["passed"] else EXIT_NUMERICAL
@@ -163,33 +158,26 @@ def cmd_witness(args, tol: Tolerances) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     lines = [_emit({"schur_dilate_version": __version__})]
-    worst = float("inf")
-    all_passed = True
     if args.family in CONTROL_FAMILIES:
         # control fixtures carry their own dimension; --block-dim is ignored
         sample = bell_control_sample() if args.family == "bell-control" \
             else choi_control_sample()
-        phi = builtin_witness(args.witness, dim=sample.block_dim)
+        dim, samples = sample.block_dim, [sample]
+    else:
+        dim = args.block_dim
+        samples = (gen_family(args.family, dim, args.seed + trial, tol, block_count=args.blocks)
+                   for trial in range(args.trials))
+    phi = builtin_witness(args.witness, dim=dim)
+    worst = float("inf")
+    all_passed = True
+    for sample in samples:
         check = witness_check(phi, sample, tol)
-        worst = check.min_eig
-        all_passed = check.passed
+        worst = min(worst, check.min_eig)
+        all_passed = all_passed and check.passed
         lines.append(_emit({
             "family": args.family, "seed": sample.seed, "witness": args.witness,
             "min_eig": check.min_eig, "passed": check.passed,
         }))
-    else:
-        phi = builtin_witness(args.witness, dim=args.block_dim)
-        for trial in range(args.trials):
-            seed = args.seed + trial
-            sample = gen_family(args.family, args.block_dim, seed, tol,
-                                block_count=args.blocks)
-            check = witness_check(phi, sample, tol)
-            worst = min(worst, check.min_eig)
-            all_passed = all_passed and check.passed
-            lines.append(_emit({
-                "family": args.family, "seed": seed, "witness": args.witness,
-                "min_eig": check.min_eig, "passed": check.passed,
-            }))
     lines.append(_emit({"summary": True, "worst_min_eig": worst,
                         "all_passed": all_passed}))
     text = "\n".join(lines) + "\n"
@@ -251,8 +239,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: bad SCHUR_DILATE_TOL: {exc}", file=sys.stderr)
         return EXIT_IO
-    if args.command == "dilate" and args.simulate is not None and args.seed is None:
-        parser.error("--simulate requires --seed")
+    if args.command == "dilate":
+        if args.povm and (args.pad, args.simulate, args.seed) != (None, None, None):
+            parser.error("--pad, --simulate and --seed apply to --channel only")
+        if args.simulate is not None and args.seed is None:
+            parser.error("--simulate requires --seed")
     try:
         if args.command == "param":
             return cmd_param(args, tol)

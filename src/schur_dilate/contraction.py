@@ -31,10 +31,12 @@ from .linalg import (
     opnorm,
     pinv,
     rank_rcond,
+    zero_level,
 )
 
 # Slack allowed on extracted factors before clipping; beyond it the solve
-# is declared infeasible.
+# is declared infeasible.  Computed results (dilation unitaries, simulated
+# channel outputs, dilated PVMs) are held to the same slack.
 CLIP_SLACK = 1e-9
 
 
@@ -62,8 +64,8 @@ def check_contraction(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return t
 
 
-def clip_to_contraction(g: np.ndarray, slack: float = CLIP_SLACK) -> np.ndarray:
-    """Clip singular values in (1, 1 + slack] to exactly 1.
+def clip_to_contraction(g: np.ndarray) -> np.ndarray:
+    """Clip singular values in (1, 1 + CLIP_SLACK] to exactly 1.
 
     Values beyond the slack are a real violation and raise ``NotContraction``.
     """
@@ -72,8 +74,8 @@ def clip_to_contraction(g: np.ndarray, slack: float = CLIP_SLACK) -> np.ndarray:
     norm = opnorm(g)
     if norm <= 1.0:
         return g
-    if norm > 1.0 + slack:
-        raise NotContraction(f"operator norm {norm:.12e} exceeds 1 + {slack:.1e}")
+    if norm > 1.0 + CLIP_SLACK:
+        raise NotContraction(f"operator norm {norm:.12e} exceeds 1 + {CLIP_SLACK:.1e}")
     u, s, vh = np.linalg.svd(g, full_matrices=False)
     return (u * np.minimum(s, 1.0)) @ vh
 
@@ -82,8 +84,8 @@ def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
     """Both defect operators from one SVD ``T = U S V*``.
 
     ``D_T = V sqrt(1 - S^2) V*`` and ``D_T* = U sqrt(1 - S^2) U*``, the
-    identity on the kernel complements.  Values of ``1 - s^2`` within
-    ``psd_tol`` of 0 count as 0, so singular values that are 1 up to
+    identity on the kernel complements.  Values of ``1 - s^2`` at or below
+    ``zero_level(1)`` count as 0, so singular values that are 1 up to
     rounding leave exact kernels instead of sqrt(eps) noise.
     """
     t = as_matrix(t)
@@ -94,7 +96,7 @@ def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
     if s.size and s[0] > 1.0 + tol.psd_tol:
         raise NotContraction(f"operator norm {s[0]:.12f} exceeds 1")
     w = (1.0 - s) * (1.0 + s)
-    root = np.sqrt(np.where(w <= tol.psd_tol, 0.0, w))
+    root = np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w))
     d_t = (dagger(vh) * np.append(root, np.ones(t.shape[1] - s.size))) @ vh
     d_t_star = (u * np.append(root, np.ones(t.shape[0] - s.size))) @ dagger(u)
     return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
@@ -139,10 +141,10 @@ def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
     sqrt(min(shape)) * cutoff <= CLIP_SLACK, the slack the residual check
     allows, while keeping them would amplify the rounding noise of Y by
     1 / sigma_i; products of defects with exact kernels leave such noise.
-    Within that bound the cutoff is psd_tol, the level below which
+    Within that bound the cutoff is ``zero_level(1)``, the level below which
     ``defects`` counts 1 - s^2 as zero.
     """
-    return min(tol.psd_tol, CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
+    return min(zero_level(1.0, tol), CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
 
 
 def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contraction import with_freedom
+from .contraction import CLIP_SLACK, with_freedom
 from .contraction import defect_star  # noqa: F401 - bench/selftest.py looks it up here
 from .errors import (
     DimensionMismatch,
@@ -42,19 +42,20 @@ from .errors import (
     NotResolution,
     NotState,
     NotTracePreserving,
-    NotUnitary,
     PaddingTooSmall,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    check_unitary,
     dagger,
     frob,
+    herm_eig,
     hermitian_part,
     is_psd,
     sqrt_psd,
-    unitarity_deviation,
+    zero_level,
 )
 
 
@@ -72,8 +73,9 @@ def _isometry_julia(v: np.ndarray, size: int) -> np.ndarray:
     return u
 
 
-def _apply_freedom(u: np.ndarray, freedom, p: int, q: int):
-    """Check ``freedom = (U1, U2)`` (p- and q-square unitaries) and apply
+def _apply_freedom(u: np.ndarray, freedom, p: int, q: int, tol: Tolerances):
+    """Check ``freedom = (U1, U2)`` (p- and q-square unitaries within
+    ``tol.psd_tol``, never looser than the result's ``CLIP_SLACK``) and apply
     ``diag(I, U1) . u . diag(I, U2)`` in place; returns the checked pair."""
     if freedom is None:
         return None
@@ -81,15 +83,15 @@ def _apply_freedom(u: np.ndarray, freedom, p: int, q: int):
     for f, side, name in zip(checked, (p, q), ("U1", "U2")):
         if f.shape != (side, side):
             raise DimensionMismatch(f"{name} must be {side} x {side}, got {f.shape}")
-        if unitarity_deviation(f) > 1e-10 * max(1.0, side):
-            raise NotUnitary(f"{name} is not unitary")
+        check_unitary(f, min(tol.psd_tol, CLIP_SLACK), name)
     with_freedom(u, *checked)
     return checked
 
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite POVM on C^dim; ``vectors`` present when all effects are rank one."""
+    """Finite POVM on C^dim, its effects PSD and summing to I within
+    ``DEFAULT_TOL``; ``vectors`` present when all effects are rank one."""
 
     dim: int
     effects: tuple[np.ndarray, ...]
@@ -105,7 +107,7 @@ class Povm:
                 raise NotResolution("every effect must be PSD")
             e.setflags(write=False)
         total = sum(effects)
-        if np.abs(total - np.eye(self.dim)).max() > 1e-10:
+        if np.abs(total - np.eye(self.dim)).max() > DEFAULT_TOL.psd_tol:
             raise NotResolution("effects do not sum to the identity")
         object.__setattr__(self, "effects", effects)
         if self.vectors is not None:
@@ -127,19 +129,19 @@ class Povm:
 
     @classmethod
     def from_effects(cls, effects, tol: Tolerances = DEFAULT_TOL) -> "Povm":
-        """Build from effects, extracting vectors when every effect is rank one."""
+        """Build from effects, extracting vectors when every effect is rank
+        one: its second eigenvalue at most ``zero_level`` of its largest."""
         effects = [as_matrix(e, "effect") for e in effects]
         if not effects:
             raise ValueError("at least one effect required")
         dim = effects[0].shape[0]
         vectors = []
         for e in effects:
-            w, v = np.linalg.eigh(hermitian_part(e))
-            top = v[:, -1] * np.sqrt(max(w[-1], 0.0))
-            if np.abs(np.outer(top, top.conj()) - e).max() > 1e-9:
+            w, v = herm_eig(e, tol)
+            if w.size > 1 and w[1] > zero_level(np.abs(w).max(), tol):
                 vectors = None
                 break
-            vectors.append(top)
+            vectors.append(v[:, 0] * np.sqrt(max(w[0], 0.0)))
         return cls(dim=dim, effects=tuple(effects),
                    vectors=None if vectors is None else tuple(vectors))
 
@@ -150,11 +152,13 @@ class Povm:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Kraus family E_i : C^in_dim -> C^out_dim, trace non-increasing."""
+    """Kraus family E_i : C^in_dim -> C^out_dim, trace non-increasing within
+    ``DEFAULT_TOL``; ``gram`` is ``sum E_i* E_i``, computed once."""
 
     in_dim: int
     out_dim: int
     kraus: tuple[np.ndarray, ...]
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = tuple(np.array(e, dtype=complex) for e in self.kraus)
@@ -167,15 +171,16 @@ class KrausChannel:
             e.setflags(write=False)
         gram = sum(dagger(e) @ e for e in ops)
         w = np.linalg.eigvalsh(hermitian_part(gram))
-        if w.size and w.max() > 1.0 + 1e-10:
+        if w.size and w.max() > 1.0 + DEFAULT_TOL.psd_tol:
             raise NotContraction(
                 f"sum E*E has eigenvalue {w.max():.12f} > 1: trace increasing")
+        gram.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "gram", gram)
 
     @property
     def trace_preserving(self) -> bool:
-        gram = sum(dagger(e) @ e for e in self.kraus)
-        return bool(np.abs(gram - np.eye(self.in_dim)).max() <= 1e-10)
+        return bool(np.abs(self.gram - np.eye(self.in_dim)).max() <= DEFAULT_TOL.psd_tol)
 
     def apply(self, rho) -> np.ndarray:
         """Direct Kraus-sum action, the oracle the dilation is checked against."""
@@ -191,7 +196,8 @@ class DilationResult:
     inside C^k.  For channels, the total dimension is
     ``out_dim * ancilla_dim`` and ``absorbing_blocks`` lists the ancilla
     block rows added to restore trace preservation (empty if none).
-    ``unitarity`` is ``||U*U - I||_F``, computed once on construction.
+    ``unitarity`` is ``||U*U - I||_F``, computed once on construction and
+    bounded by ``CLIP_SLACK * max(1, k)``.
     """
 
     kind: str  # "povm" | "channel"
@@ -206,9 +212,7 @@ class DilationResult:
 
     def __post_init__(self):
         u = np.array(self.unitary, dtype=complex)
-        deviation = unitarity_deviation(u)
-        if deviation > 1e-9 * max(1.0, u.shape[0]):
-            raise NotUnitary("dilation result must be unitary")
+        deviation = check_unitary(u, CLIP_SLACK, "dilation result")
         u.setflags(write=False)
         object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "unitarity", deviation)
@@ -230,10 +234,10 @@ def povm_dilate(povm: Povm, freedom=None, tol: Tolerances = DEFAULT_TOL) -> Dila
     m = povm.dim
     n = povm.outcomes
     mm = np.column_stack(povm.vectors)
-    if np.abs(mm @ dagger(mm) - np.eye(m)).max() > 1e-10:
+    if np.abs(mm @ dagger(mm) - np.eye(m)).max() > tol.psd_tol:
         raise NotResolution("vectors do not resolve the identity")
     u = dagger(_isometry_julia(dagger(mm), m + n))  # [[M, 0], [I - M*M, -M*]]
-    applied = _apply_freedom(u, freedom, n, m)
+    applied = _apply_freedom(u, freedom, n, m, tol)
     return DilationResult(kind="povm", unitary=u, system_span=(0, m),
                           ancilla_dim=n, freedom=applied)
 
@@ -260,10 +264,11 @@ class PovmVerification:
     passed: bool
 
 
-def povm_verify(result, povm: Povm,
-                projector_tol: float = 1e-9,
-                compression_tol: float = 1e-10) -> PovmVerification:
+def povm_verify(result, povm: Povm, tol: Tolerances = DEFAULT_TOL) -> PovmVerification:
     """Report-only check of the PVM and compression properties.
+
+    The PVM properties pass within ``CLIP_SLACK``, like every dilation
+    unitary, and the compressions within ``tol.psd_tol``.
 
     Every ``F_i = u_i u_i*`` is rank one, so for any matrix ``U`` (unitary
     or not) the projector norms reduce to its Gram matrix ``G = U*U``:
@@ -285,9 +290,8 @@ def povm_verify(result, povm: Povm,
     compressed = top[:, :, None] * top.conj()[:, None, :]  # P F_i P, one per column
     compression = float(np.abs(compressed[:n] - np.array(povm.effects)).max())
     extra = float(np.abs(compressed[n:]).max(initial=0.0))
-    passed = (completeness <= projector_tol and idem <= projector_tol
-              and ortho <= projector_tol and compression <= compression_tol
-              and extra <= compression_tol)
+    passed = (all(x <= CLIP_SLACK for x in (completeness, idem, ortho))
+              and all(x <= tol.psd_tol for x in (compression, extra)))
     return PovmVerification(completeness=completeness, idempotency=idem,
                             orthogonality=ortho, compression=compression,
                             extra_compression=extra, passed=passed)
@@ -317,7 +321,7 @@ def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = 
             raise NotTracePreserving("sum E*E != I; pass allow_trace_decreasing=True "
                                      "to dilate with absorbing outcomes")
         absorbing = tuple(range(len(ops), len(ops) - (-n // m)))
-        deficit = np.eye(n) - sum(dagger(e) @ e for e in ch.kraus)
+        deficit = np.eye(n) - ch.gram
         ops += [sqrt_psd(deficit, tol), np.zeros((-n % m, n))]
     t = np.vstack(ops)
     rm = t.shape[0]
@@ -328,7 +332,7 @@ def channel_dilate(ch: KrausChannel, freedom=None, pad_to_ancilla: int | None = 
         raise PaddingTooSmall(
             f"ancilla dim {ancilla} gives total {ancilla * m} < minimal {k0}")
     u = _isometry_julia(t, ancilla * m)
-    applied = _apply_freedom(u[:k0, :k0], freedom, n, rm)
+    applied = _apply_freedom(u[:k0, :k0], freedom, n, rm, tol)
     return DilationResult(kind="channel", unitary=u, system_span=(0, n),
                           ancilla_dim=ancilla, freedom=applied, out_dim=m,
                           kraus_count=len(ch.kraus), absorbing_blocks=absorbing)

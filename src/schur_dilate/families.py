@@ -268,14 +268,11 @@ def choi_detected_state() -> np.ndarray:
     rho = (2 / 7) * np.outer(psi, psi.conj())
     hidden = [(0, 2), (1, 0), (2, 1)]   # |ij>, invisible to the Choi diagonal
     partner = [(2, 0), (0, 1), (1, 2)]
-    for (i, j) in hidden:
-        e = np.zeros(9)
-        e[i * 3 + j] = 1.0
-        rho += (15 / 28) / 3 * np.outer(e, e)
-    for (i, j) in partner:
-        e = np.zeros(9)
-        e[i * 3 + j] = 1.0
-        rho += (5 / 28) / 3 * np.outer(e, e)
+    for cells, weight in ((hidden, 15 / 28), (partner, 5 / 28)):
+        for (i, j) in cells:
+            e = np.zeros(9)
+            e[i * 3 + j] = 1.0
+            rho += weight / 3 * np.outer(e, e)
     return rho
 
 

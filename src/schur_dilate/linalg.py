@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, NotUnitary
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical tolerances shared across the library.
 
-    psd_tol    relative eigenvalue tolerance for positivity and symmetry checks;
-               contractive factor solves also drop singular values below it,
-               capped so the drop stays within their residual slack
+    psd_tol    relative eigenvalue tolerance for positivity, symmetry, unitarity
+               and rank decisions on inputs; contractive factor solves also
+               drop singular values below it, capped so the drop stays within
+               their residual slack
     rank_tol   relative singular-value cutoff for pseudoinverses; ``None``
                selects ``max(rows, cols) * machine epsilon``
     recon_tol  Frobenius tolerance for parametrization round-trips
@@ -80,6 +81,14 @@ def unitarity_deviation(u: np.ndarray) -> float:
     return frob(dagger(u) @ u - np.eye(u.shape[1]))
 
 
+def check_unitary(u: np.ndarray, bound: float, name: str = "matrix") -> float:
+    """``unitarity_deviation(u)``, raising ``NotUnitary`` above ``bound * max(1, cols)``."""
+    deviation = unitarity_deviation(u)
+    if deviation > bound * max(1.0, u.shape[1]):
+        raise NotUnitary(f"{name} is not unitary: deviation {deviation:.3e}")
+    return deviation
+
+
 def opnorm(a: np.ndarray) -> float:
     """Operator 2-norm (largest singular value)."""
     if a.size == 0:
@@ -111,18 +120,28 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def zero_level(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
+    """The one rank rule: in a Hermitian matrix of scale ``scale``, an
+    eigenvalue within ``psd_tol * scale`` of 0 is rounding noise.  ``is_psd``
+    and ``sqrt_psd`` fail below its negative, ``defects`` zeroes ``1 - s^2``
+    up to ``zero_level(1)``, and ``from_effects`` and ``psd_parametrize`` cut at it."""
+    return tol.psd_tol * scale
+
+
+def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL, cut: float = 0.0) -> np.ndarray:
     """Unique positive square root of a Hermitian PSD matrix.
 
-    Eigenvalues in ``[-psd_tol * ||a||, 0)`` are rounding noise and clamp
-    to zero; anything more negative raises ``NotPSD``.
+    Eigenvalues in ``[-zero_level(||a||), 0)`` are rounding noise and clamp
+    to zero, as do positive ones up to ``cut`` (default none: a matrix's own
+    scale cannot tell a small eigenvalue from noise); anything more
+    negative raises ``NotPSD``.
     """
     a = as_matrix(a)
     w, v = herm_eig(a, tol)
-    floor = -tol.psd_tol * max(1.0, np.abs(w).max(initial=0.0))
+    floor = -zero_level(max(1.0, np.abs(w).max(initial=0.0)), tol)
     if w.size and w.min() < floor:
         raise NotPSD(f"eigenvalue {w.min():.3e} below tolerance {floor:.3e}")
-    w = np.clip(w, 0.0, None)
+    w = np.where(w <= cut, 0.0, w)
     return hermitian_part((v * np.sqrt(w)) @ dagger(v))
 
 
@@ -162,7 +181,7 @@ def is_psd(a, tol: Tolerances = DEFAULT_TOL) -> PsdResult:
     w = np.linalg.eigvalsh(hermitian_part(a))
     min_eig = float(w[0]) if w.size else 0.0
     scale = max(float(np.abs(w).max()) if w.size else 0.0, 1.0)
-    return PsdResult(ok=min_eig >= -tol.psd_tol * scale, min_eigenvalue=min_eig)
+    return PsdResult(ok=min_eig >= -zero_level(scale, tol), min_eigenvalue=min_eig)
 
 
 def kron(a, b) -> np.ndarray:

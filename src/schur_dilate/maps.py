@@ -19,7 +19,6 @@ from .contraction import defects
 from .errors import DimensionMismatch, NotUnital, UnknownName
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger, hermitian_part, opnorm
 from .sampling import (
-    complex_gaussian,
     random_contraction,
     random_hermitian,
     random_normal_contraction,
@@ -38,26 +37,40 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MatrixLinearMap:
-    """Linear map C^{n x n} -> C^{m x m} stored as an action matrix.
+    """Linear map C^{n x n} -> C^{m x m} stored as an action matrix ``A``.
 
     ``positive_declared`` is a trusted flag: positivity of an arbitrary map
-    is not decided here, only asserted by the catalog or the caller.
+    is not decided here, only asserted by the catalog or the caller.  The
+    other flags are identities of ``A`` within ``DEFAULT_TOL`` entrywise:
+    ``A.reshape(m, m, n, n)`` equals its (1, 0, 3, 2)-transposed conjugate
+    (hermiticity preserving), ``A vec(I_n) = vec(I_m)`` (unital) and
+    ``vec(I_m)^T A = vec(I_n)^T`` (trace preserving).
     """
 
     in_dim: int
     out_dim: int
     action: np.ndarray
-    hermiticity_preserving: bool = False
     positive_declared: bool = False
-    unital: bool = False
-    trace_preserving: bool = False
+    hermiticity_preserving: bool = field(init=False)
+    unital: bool = field(init=False)
+    trace_preserving: bool = field(init=False)
 
     def __post_init__(self):
+        n, m = self.in_dim, self.out_dim
         a = np.array(self.action, dtype=complex)
-        if a.shape != (self.out_dim ** 2, self.in_dim ** 2):
-            raise DimensionMismatch(
-                f"action must be {self.out_dim ** 2} x {self.in_dim ** 2}, got {a.shape}")
+        if a.shape != (m ** 2, n ** 2):
+            raise DimensionMismatch(f"action must be {m ** 2} x {n ** 2}, got {a.shape}")
         a.setflags(write=False)
+        c = a.reshape(m, m, n, n)
+        eye_in, eye_out = vec(np.eye(n)), vec(np.eye(m))
+        flags = {
+            "hermiticity_preserving": c - c.transpose(1, 0, 3, 2).conj(),
+            "unital": a @ eye_in - eye_out,
+            "trace_preserving": eye_out @ a - eye_in,
+        }
+        for name, residual in flags.items():
+            object.__setattr__(self, name,
+                               bool(np.abs(residual).max(initial=0.0) <= DEFAULT_TOL.psd_tol))
         object.__setattr__(self, "action", a)
 
     def apply(self, x) -> np.ndarray:
@@ -71,26 +84,6 @@ class MatrixLinearMap:
         return self.apply(x)
 
 
-def _detect_flags(apply, n: int, m: int, tol: float = 1e-12):
-    """Numerically probe hermiticity preservation, unitality, trace preservation."""
-    rng = rng_from_seed(20_0931)
-    hp = True
-    for _ in range(4):
-        x = complex_gaussian(rng, n, n)
-        if np.abs(apply(dagger(x)) - dagger(apply(x))).max() > 1e-10:
-            hp = False
-            break
-    eye_out = apply(np.eye(n, dtype=complex))
-    unital = (m == eye_out.shape[0]) and np.abs(eye_out - np.eye(m)).max() <= tol
-    tp = True
-    for _ in range(4):
-        x = complex_gaussian(rng, n, n)
-        if abs(np.trace(apply(x)) - np.trace(x)) > 1e-10 * max(1.0, abs(np.trace(x))):
-            tp = False
-            break
-    return hp, unital, tp
-
-
 def map_from_kraus_pairs(pairs, positive_declared: bool = False) -> MatrixLinearMap:
     """Map X -> sum_i A_i X B_i* from a list of (A_i, B_i) pairs."""
     pairs = [(as_matrix(a, "A"), as_matrix(b, "B")) for a, b in pairs]
@@ -101,11 +94,7 @@ def map_from_kraus_pairs(pairs, positive_declared: bool = False) -> MatrixLinear
         if a.shape != (m, n) or b.shape != (m, n):
             raise DimensionMismatch("all Kraus pairs must share one shape")
     action = sum(np.kron(b.conj(), a) for a, b in pairs)
-    fn = lambda x: unvec(action @ vec(x), m, m)
-    hp, unital, tp = _detect_flags(fn, n, m)
-    return MatrixLinearMap(n, m, action, hermiticity_preserving=hp,
-                           positive_declared=positive_declared,
-                           unital=unital, trace_preserving=tp)
+    return MatrixLinearMap(n, m, action, positive_declared=positive_declared)
 
 
 def map_from_function(fn, in_dim: int, out_dim: int,
@@ -117,12 +106,8 @@ def map_from_function(fn, in_dim: int, out_dim: int,
             e = np.zeros((in_dim, in_dim), dtype=complex)
             e[i, j] = 1.0
             cols.append(vec(as_matrix(fn(e))))
-    action = np.column_stack(cols)
-    apply = lambda x: unvec(action @ vec(x), out_dim, out_dim)
-    hp, unital, tp = _detect_flags(apply, in_dim, out_dim)
-    return MatrixLinearMap(in_dim, out_dim, action, hermiticity_preserving=hp,
-                           positive_declared=positive_declared,
-                           unital=unital, trace_preserving=tp)
+    return MatrixLinearMap(in_dim, out_dim, np.column_stack(cols),
+                           positive_declared=positive_declared)
 
 
 def _choi3(x: np.ndarray) -> np.ndarray:
@@ -159,21 +144,15 @@ def builtin_witness(name: str, dim: int = 3) -> MatrixLinearMap:
 def unital_witness(name: str, dim: int = 3) -> MatrixLinearMap:
     """Unital rescalings of the catalog, for the inequality suite.
 
-    The reduction map divides by ``dim - 1``; the Choi map by 2.
+    Every catalog map sends I to a multiple ``phi(I)[0, 0]`` of I: 1 for the
+    transpose, ``dim - 1`` for the reduction map and 2 for the Choi map.
     """
-    if name == "transpose":
-        return builtin_witness("transpose", dim)
-    if name == "reduction":
-        if dim < 2:
-            raise UnknownName("unital reduction needs dim >= 2")
-        return map_from_function(
-            lambda x: (np.trace(x) * np.eye(dim) - x) / (dim - 1),
-            dim, dim, positive_declared=True)
-    if name == "choi3":
-        if dim != 3:
-            raise UnknownName("choi3 is defined on 3 x 3 matrices only")
-        return map_from_function(lambda x: _choi3(x) / 2, 3, 3, positive_declared=True)
-    raise UnknownName(f"no builtin witness named {name!r}")
+    if name == "reduction" and dim < 2:
+        raise UnknownName("unital reduction needs dim >= 2")
+    phi = builtin_witness(name, dim)
+    scale = phi.apply(np.eye(phi.in_dim))[0, 0].real
+    return MatrixLinearMap(phi.in_dim, phi.out_dim, phi.action / scale,
+                           positive_declared=True)
 
 
 def apply_blockwise(phi: MatrixLinearMap, a, block_count: int) -> np.ndarray:
@@ -276,9 +255,4 @@ def positivity_inequality_suite(phi: MatrixLinearMap, trials: int,
     if norm_excess > slack:
         failures["norm_excess"] = norm_excess
     return InequalityReport(trials=trials, norm_excess=float(norm_excess),
-                            kadison=float(worst["kadison"]),
-                            product_left=float(worst["product_left"]),
-                            product_right=float(worst["product_right"]),
-                            defect_star_bound=float(worst["defect_star_bound"]),
-                            defect_bound=float(worst["defect_bound"]),
-                            failures=failures)
+                            **{k: float(v) for k, v in worst.items()}, failures=failures)

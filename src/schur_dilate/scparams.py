@@ -30,8 +30,8 @@ The unitary split reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
-relevant range, and extracted factors with norm in ``(1, 1 + 1e-9]`` are
-clipped back to the unit ball.
+relevant range, and extracted factors with norm in ``(1, 1 + CLIP_SLACK]``
+are clipped back to the unit ball.
 """
 
 from __future__ import annotations
@@ -54,19 +54,20 @@ from .errors import (
     NoFactor,
     NotContraction,
     NotPSD,
-    NotUnitary,
     ShapeUnsupported,
 )
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
     as_matrix,
+    check_unitary,
     dagger,
+    frob,
     hermitian_part,
     is_psd,
     pinv,
     sqrt_psd,
-    unitarity_deviation,
+    zero_level,
 )
 
 
@@ -74,6 +75,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out
+
+
+def _freeze_grid(rows) -> tuple[tuple[np.ndarray, ...], ...]:
+    return tuple(tuple(_freeze(g) for g in row) for row in rows)
 
 
 def _offsets(dims) -> list[int]:
@@ -140,11 +145,7 @@ class MatrixContractionParams:
     shape: BlockShape
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "gammas",
-            tuple(tuple(_freeze(g) for g in row) for row in self.gammas),
-        )
+        object.__setattr__(self, "gammas", _freeze_grid(self.gammas))
 
     def column(self, j: int) -> tuple[np.ndarray, ...]:
         return tuple(self.gammas[i][j] for i in range(len(self.shape.row_dims)))
@@ -167,11 +168,7 @@ class PositiveSCParams:
         if self.shape.row_dims != self.shape.col_dims:
             raise ShapeUnsupported("positive block matrices need square blocks")
         object.__setattr__(self, "diag_roots", tuple(_freeze(r) for r in self.diag_roots))
-        object.__setattr__(
-            self,
-            "gammas",
-            tuple(tuple(_freeze(g) for g in row) for row in self.gammas),
-        )
+        object.__setattr__(self, "gammas", _freeze_grid(self.gammas))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -397,9 +394,7 @@ def unitary_factorize(u, shape: BlockShape, tol: Tolerances = DEFAULT_TOL):
         raise ShapeUnsupported(
             f"off-diagonal blocks must be square, got {(k1, h2)} and {(k2, h1)}"
         )
-    dev = unitarity_deviation(u)
-    if dev > 1e-10 * max(1.0, u.shape[0]):
-        raise NotUnitary(f"unitarity deviation {dev:.3e}")
+    check_unitary(u, tol.psd_tol, "u")
     a = u[:k1, :h1]
     b = u[:k1, h1:]
     c = u[k1:, :h1]
@@ -430,13 +425,45 @@ def _chol_step(root, rk, gammas, pairs, chol) -> np.ndarray:
     ])
 
 
+def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveSCParams:
+    """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
+    singular values up to ``sqrt(cut)`` counting as zero; a cut can drop a real
+    coupling, so then the result must rebuild ``a`` within recon_tol."""
+    dims = shape.row_dims
+    n = len(dims)
+    off = _offsets(dims)
+    roots = [sqrt_psd(hermitian_part(a[off[i]:off[i + 1], off[i]:off[i + 1]]), tol, cut)
+             for i in range(n)]
+    atol = np.sqrt(cut)
+    gamma_rows: list[tuple[np.ndarray, ...]] = [()] * n
+    chol = roots[n - 1]
+    for k in range(n - 2, -1, -1):
+        row = a[off[k]:off[k + 1], off[k + 1]:]
+        try:
+            rk = clip_to_contraction(pinv(roots[k], tol, atol) @ row @ pinv(chol, tol, atol))
+            gammas, pairs = _row_extract(rk, dims[k + 1:], tol)
+        except NotContraction as exc:
+            raise NoFactor(str(exc)) from exc
+        gamma_rows[k] = tuple(gammas)
+        if k:  # the factor of the whole matrix is not needed
+            chol = _chol_step(roots[k], rk, gammas, pairs, chol)
+    params = PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
+    if cut and frob(psd_reconstruct(params, tol) - a) > tol.recon_tol * max(1.0, frob(a)):
+        raise NoFactor("round-trip error above recon_tol after the rank cut")
+    return params
+
+
 def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> PositiveSCParams:
     """Parametrize a positive block matrix, bottom-up over trailing corners.
 
     Maintains the block Cholesky factor of the trailing principal
     submatrix; each step above solves one row contraction against it.
     Besides one root per diagonal block, the extraction costs one SVD per
-    gamma.
+    gamma.  The uncut pass is exact on full-rank inputs; on rank-deficient
+    ones rounding-level singular values can cost it sqrt(eps) or push a
+    solve past norm 1.  The pass cut at ``zero_level(max|a|)`` goes first
+    when the least eigenvalue of ``a`` is that low; the other runs only if
+    the first fails.
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -445,24 +472,12 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     check = is_psd(a, tol)
     if not check:
         raise NotPSD(f"minimum eigenvalue {check.min_eigenvalue:.3e}")
-    dims = shape.row_dims
-    n = len(dims)
-    off = _offsets(dims)
-    roots = [sqrt_psd(hermitian_part(a[off[i]:off[i + 1], off[i]:off[i + 1]]), tol)
-             for i in range(n)]
-    gamma_rows: list[tuple[np.ndarray, ...]] = [()] * n
-    chol = roots[n - 1]
-    for k in range(n - 2, -1, -1):
-        row = a[off[k]:off[k + 1], off[k + 1]:]
-        try:
-            rk = clip_to_contraction(pinv(roots[k], tol) @ row @ pinv(chol, tol))
-            gammas, pairs = _row_extract(rk, dims[k + 1:], tol)
-        except NotContraction as exc:
-            raise NoFactor(str(exc)) from exc
-        gamma_rows[k] = tuple(gammas)
-        if k:  # the factor of the whole matrix is not needed
-            chol = _chol_step(roots[k], rk, gammas, pairs, chol)
-    return PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
+    cut = zero_level(np.abs(a).max(initial=0.0), tol)
+    cuts = (cut, 0.0) if check.min_eigenvalue <= cut else (0.0, cut)
+    try:
+        return _psd_extract(a, shape, cuts[0], tol)
+    except NoFactor:
+        return _psd_extract(a, shape, cuts[1], tol)
 
 
 def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -31,6 +31,7 @@ import json
 import numpy as np
 
 from .dilation import DilationResult, KrausChannel, Povm
+from .linalg import DEFAULT_TOL, Tolerances
 from .scparams import (
     BlockShape,
     MatrixContractionParams,
@@ -130,12 +131,8 @@ def params_from_obj(obj: dict):
         expected = n * (n - 1) // 2
         if len(gammas) != expected:
             raise ValueError(f"psd kind expects {expected} gammas, got {len(gammas)}")
-        rows = []
-        pos = 0
-        for i in range(n):
-            take = n - i - 1
-            rows.append(tuple(gammas[pos:pos + take]))
-            pos += take
+        it = iter(gammas)
+        rows = [tuple(next(it) for _ in range(n - i - 1)) for i in range(n)]
         roots = tuple(matrix_from_obj(r) for r in obj["diag_roots"])
         return PositiveSCParams(roots, tuple(rows), shape)
     raise ValueError(f"unknown params kind {kind!r}")
@@ -147,13 +144,13 @@ def povm_to_obj(povm: Povm) -> dict:
     return {"dim": povm.dim, "vectors": [vector_to_obj(v) for v in povm.vectors]}
 
 
-def povm_from_obj(obj: dict) -> Povm:
+def povm_from_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> Povm:
     if "vectors" in obj:
         vs = [vector_from_obj(v) for v in obj["vectors"]]
         if any(v.shape != (int(obj["dim"]),) for v in vs):
             raise ValueError("vector length differs from dim")
         return Povm.from_vectors(vs)
-    return Povm.from_effects([matrix_from_obj(e) for e in obj["effects"]])
+    return Povm.from_effects([matrix_from_obj(e) for e in obj["effects"]], tol)
 
 
 def channel_to_obj(ch: KrausChannel) -> dict:

@@ -259,6 +259,22 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
+def test_tolerance_env_reaches_povm_rank_test(tmp_path, capsys, monkeypatch):
+    # second eigenvalues of 1.1e-10: rank two at the default psd_tol
+    povm_file = tmp_path / "povm.json"
+    out = tmp_path / "u.json"
+    effects = [np.diag([1 - 1.1e-10, 1.1e-10]), np.diag([1.1e-10, 1 - 1.1e-10])]
+    serialize.dump({"dim": 2, "effects": [serialize.matrix_to_obj(e.astype(complex))
+                                          for e in effects]}, povm_file)
+    code, _, err = run_cli(capsys, "dilate", "--povm", str(povm_file), "--out", str(out))
+    assert code == 2
+    assert "EffectsNotRankOne" in err
+    monkeypatch.setenv("SCHUR_DILATE_TOL", "1e-8")
+    code, stdout, _ = run_cli(capsys, "dilate", "--povm", str(povm_file), "--out", str(out))
+    assert code == 0
+    assert json.loads(stdout)["passed"]
+
+
 @pytest.mark.parametrize("value", ["inf", "nan", "-1e-4", "abc"])
 def test_bad_tolerance_env_exits_1(capsys, monkeypatch, value):
     # with tol = inf the Bell projector would pass the transpose witness
@@ -278,6 +294,27 @@ def test_dilate_empty_povm_exits_1(tmp_path, capsys, obj):
                            "--out", str(tmp_path / "u.json"))
     assert code == 1
     assert err == "error: at least one effect required\n"
+
+
+@pytest.mark.parametrize("extra", [["--pad", "99"], ["--simulate", "3", "--seed", "1"],
+                                   ["--seed", "1"]])
+def test_dilate_povm_rejects_channel_flags(tmp_path, capsys, extra):
+    povm_file = tmp_path / "povm.json"
+    out = tmp_path / "u.json"
+    serialize.dump({"dim": 1, "vectors": [[[1.0, 0.0]]]}, povm_file)
+    with pytest.raises(SystemExit) as exc:
+        main(["dilate", "--povm", str(povm_file), *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "apply to --channel only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_without_seed_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dilate", "--channel", str(tmp_path / "ch.json"), "--simulate", "3",
+              "--out", str(tmp_path / "u.json")])
+    assert exc.value.code == 2
+    assert "--simulate requires --seed" in capsys.readouterr().err
 
 
 def test_witness_zero_blocks_exits_2(capsys):

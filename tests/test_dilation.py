@@ -22,8 +22,9 @@ from schur_dilate.errors import (
     PaddingTooSmall,
 )
 from schur_dilate.contraction import defects, julia_block, with_freedom
-from schur_dilate.linalg import dagger, frob, sqrt_psd, unitarity_deviation
+from schur_dilate.linalg import Tolerances, dagger, frob, sqrt_psd, unitarity_deviation
 from schur_dilate.sampling import (
+    complex_gaussian,
     random_coisometry,
     random_density,
     random_kraus_family,
@@ -70,6 +71,24 @@ def test_povm_from_effects_extracts_rank_one_vectors():
     for v, ref in zip(povm.vectors, vs):
         np.testing.assert_allclose(np.outer(v, v.conj()), np.outer(ref, ref.conj()),
                                    atol=1e-12)
+
+
+def test_povm_from_effects_rank_rule_reads_tolerance():
+    # second eigenvalue 3e-9: noise under psd_tol = 1e-8, a second rank at 1e-10
+    effects = [np.diag([1 - 3e-9, 3e-9]), np.diag([3e-9, 1 - 3e-9])]
+    assert Povm.from_effects(effects).vectors is None
+    loose = Tolerances(psd_tol=1e-8)
+    povm = Povm.from_effects(effects, loose)
+    np.testing.assert_allclose(np.abs(povm.vectors[0]), [np.sqrt(1 - 3e-9), 0.0], atol=1e-15)
+    with pytest.raises(NotResolution):
+        povm_dilate(povm)
+
+
+@pytest.mark.parametrize("second, rank_one", [(0.9e-10, True), (1.1e-10, False)])
+def test_povm_from_effects_rank_cut_edges(second, rank_one):
+    # rank one iff the second eigenvalue is at most zero_level(largest), about 1e-10
+    effects = [np.diag([1 - second, second]), np.diag([second, 1 - second])]
+    assert (Povm.from_effects(effects).vectors is not None) == rank_one
 
 
 def test_povm_dilate_rejects_rank_two_effects():
@@ -156,6 +175,33 @@ def test_povm_freedom_validation():
         povm_dilate(povm, freedom=(np.eye(2), np.eye(2)))
 
 
+def test_povm_freedom_check_reads_caller_tolerance():
+    # psd_tol moves the freedom check up to CLIP_SLACK, the bound the
+    # dilation result is held to, so a rejection always names the input
+    povm = Povm.from_vectors(trine_vectors())
+    eye2 = np.eye(2)
+    bumped = np.diag([1 + 5e-10, 1, 1])  # deviation 1e-9: over 3e-10, under 3e-9
+    with pytest.raises(NotUnitary, match="U1"):
+        povm_dilate(povm, freedom=(bumped, eye2))
+    assert povm_dilate(povm, freedom=(bumped, eye2), tol=Tolerances(psd_tol=1e-9)).unitarity < 2e-9
+    far = np.eye(3) + 1e-7 * complex_gaussian(rng_from_seed(95), 3, 3)
+    with pytest.raises(NotUnitary, match="U1"):
+        povm_dilate(povm, freedom=(far, eye2), tol=Tolerances(psd_tol=1e-4))
+    slight = np.diag([1 + 5e-12, 1, 1])
+    assert povm_dilate(povm, freedom=(slight, eye2)).unitarity < 2e-11
+    with pytest.raises(NotUnitary, match="U1"):
+        povm_dilate(povm, freedom=(slight, eye2), tol=Tolerances(psd_tol=1e-12))
+
+
+def test_povm_verify_compression_bound_reads_tolerance():
+    result = povm_dilate(Povm.from_vectors([np.array([1.0, 0.0]), np.array([0.0, 1.0])]))
+    blurred = Povm(dim=2, effects=(np.diag([1 - 1e-9, 1e-9]), np.diag([1e-9, 1 - 1e-9])))
+    report = povm_verify(result, blurred)
+    assert report.compression == pytest.approx(1e-9)
+    assert not report.passed
+    assert povm_verify(result, blurred, Tolerances(psd_tol=1e-8)).passed
+
+
 # ---------------------------------------------------------------------------
 # channels
 
@@ -166,6 +212,16 @@ def test_kraus_channel_validation():
     with pytest.raises(NotContraction):
         KrausChannel(in_dim=2, out_dim=2, kraus=(np.eye(2) * 1.2,))
     assert amplitude_damping().trace_preserving
+
+
+def test_kraus_channel_keeps_its_gram_sum():
+    ch = amplitude_damping()
+    np.testing.assert_array_equal(ch.gram, sum(dagger(e) @ e for e in ch.kraus))
+    assert not ch.gram.flags.writeable
+    e0 = np.array([[1.0, 0.0], [0.0, 0.8]], dtype=complex)
+    decreasing = KrausChannel(in_dim=2, out_dim=2, kraus=(e0,))
+    assert not decreasing.trace_preserving
+    np.testing.assert_allclose(decreasing.gram, np.diag([1.0, 0.64]), atol=1e-15)
 
 
 def test_identity_channel_dilation_is_exact():

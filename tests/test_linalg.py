@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from schur_dilate.errors import DimensionMismatch, NotHermitian, NotPSD
+from schur_dilate.errors import DimensionMismatch, NotHermitian, NotPSD, NotUnitary
 from schur_dilate.linalg import (
     Tolerances,
+    check_unitary,
     dagger,
     herm_eig,
     is_psd,
@@ -11,6 +12,7 @@ from schur_dilate.linalg import (
     pinv,
     ptrace_first,
     sqrt_psd,
+    zero_level,
 )
 from schur_dilate.sampling import complex_gaussian, random_psd, rng_from_seed
 
@@ -82,6 +84,36 @@ def test_sqrt_psd_clamps_rounding_noise():
     a = np.diag([1.0, -5e-11])
     r = sqrt_psd(a)
     np.testing.assert_allclose(r, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+def test_sqrt_psd_keeps_small_eigenvalues_unless_cut():
+    # a matrix's own scale cannot tell 1e-11 from noise, so only a cut zeroes it
+    a = np.diag([1.0, 1e-11, 1e-9])
+    assert sqrt_psd(a)[1, 1] == pytest.approx(np.sqrt(1e-11))
+    r = sqrt_psd(a, cut=zero_level(1.0))
+    assert r[1, 1] == 0.0
+    assert r[2, 2] == pytest.approx(np.sqrt(1e-9))
+    assert not sqrt_psd(np.eye(2), cut=1.0).any()
+
+
+def test_zero_level_is_the_positivity_and_rank_rule():
+    assert zero_level(4.0) == 4e-10
+    assert zero_level(4.0, Tolerances(psd_tol=1e-6)) == 4e-6
+    # is_psd and sqrt_psd fail just below -zero_level of the scale 1
+    assert is_psd(np.diag([1.0, -0.99e-10]))
+    assert not is_psd(np.diag([1.0, -1.01e-10]))
+    with pytest.raises(NotPSD):
+        sqrt_psd(np.diag([1.0, -1.01e-10]))
+
+
+def test_check_unitary_bound_scales_with_size():
+    rng = rng_from_seed(19)
+    u = np.linalg.qr(complex_gaussian(rng, 4, 4))[0]
+    assert check_unitary(u, 1e-10) <= 1e-13
+    bumped = u + 1e-7 * complex_gaussian(rng, 4, 4)
+    with pytest.raises(NotUnitary, match="U1 is not unitary"):
+        check_unitary(bumped, 1e-10, "U1")
+    assert check_unitary(bumped, 1e-4) > 1e-10
 
 
 def test_sqrt_psd_rejects_negative():

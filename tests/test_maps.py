@@ -5,14 +5,23 @@ from schur_dilate.errors import DimensionMismatch, NotUnital, UnknownName
 from schur_dilate.families import bell_projector
 from schur_dilate.linalg import dagger, hermitian_part, is_psd
 from schur_dilate.maps import (
+    MatrixLinearMap,
+    _choi3,
     apply_blockwise,
     builtin_witness,
+    map_from_function,
     map_from_kraus_pairs,
     positivity_inequality_suite,
     unital_witness,
     vec,
 )
-from schur_dilate.sampling import complex_gaussian, random_psd, rng_from_seed
+from schur_dilate.sampling import (
+    complex_gaussian,
+    random_kraus_family,
+    random_psd,
+    random_unitary,
+    rng_from_seed,
+)
 
 
 def matrix_unit(n, i, j):
@@ -199,6 +208,79 @@ def test_witnesses_preserve_hermiticity(name):
     for _ in range(10):
         x = complex_gaussian(rng, 3, 3)
         np.testing.assert_allclose(phi(dagger(x)), dagger(phi(x)), atol=1e-12)
+
+
+def probe_flags(phi):
+    """Randomized probe of the three derived flags: four Gaussian inputs
+    each for hermiticity and trace preservation, one identity for unitality."""
+    rng = rng_from_seed(20_0931)
+    n, m = phi.in_dim, phi.out_dim
+    xs = [complex_gaussian(rng, n, n) for _ in range(8)]
+    hp = all(np.abs(phi(dagger(x)) - dagger(phi(x))).max() <= 1e-10 for x in xs[:4])
+    unital = np.abs(phi(np.eye(n)) - np.eye(m)).max() <= 1e-12
+    tp = all(abs(np.trace(phi(x)) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
+             for x in xs[4:])
+    return hp, unital, tp
+
+
+def random_pairs(rng, kind, n, m):
+    count = int(rng.integers(1, 4))
+    if kind == "trace-preserving":
+        ops = random_kraus_family(rng, n, m, max(count, -(-n // m)))
+        return [(e, e) for e in ops]
+    if kind == "unital":
+        ops = random_kraus_family(rng, m, n, max(count, -(-m // n)))
+        return [(dagger(e), dagger(e)) for e in ops]
+    if kind == "unitary-conjugation":
+        u = random_unitary(rng, n)
+        return [(u, u)]
+    if kind == "non-hermitian-pair":
+        return [(complex_gaussian(rng, m, n), complex_gaussian(rng, m, n))
+                for _ in range(count)]
+    ops = [complex_gaussian(rng, m, n) for _ in range(count)]
+    return [(e, e) for e in ops]
+
+
+def test_derived_flags_match_randomized_probe():
+    rng = rng_from_seed(79)
+    kinds = ("trace-preserving", "unital", "unitary-conjugation",
+             "non-hermitian-pair", "generic")
+    seen = set()
+    for i in range(200):
+        kind = kinds[i % len(kinds)]
+        n = int(rng.integers(1, 4))
+        m = n if kind == "unitary-conjugation" else int(rng.integers(1, 4))
+        phi = map_from_kraus_pairs(random_pairs(rng, kind, n, m))
+        flags = (phi.hermiticity_preserving, phi.unital, phi.trace_preserving)
+        assert flags == probe_flags(phi), (kind, n, m)
+        seen.add(flags)
+    assert len(seen) >= 4
+
+
+def test_derived_flags_are_not_constructor_arguments():
+    with pytest.raises(TypeError):
+        MatrixLinearMap(1, 1, np.eye(1), unital=True)
+    phi = MatrixLinearMap(2, 2, np.eye(4), positive_declared=True)
+    assert phi.positive_declared and phi.unital and phi.trace_preserving
+
+
+def test_unital_witnesses_rescale_the_catalog():
+    for dim in (2, 3, 4, 5):
+        reduction = map_from_function(
+            lambda x: (np.trace(x) * np.eye(dim) - x) / (dim - 1), dim, dim)
+        np.testing.assert_array_equal(unital_witness("reduction", dim).action,
+                                      reduction.action)
+        np.testing.assert_array_equal(unital_witness("transpose", dim).action,
+                                      builtin_witness("transpose", dim).action)
+    choi = map_from_function(lambda x: _choi3(x) / 2, 3, 3)
+    np.testing.assert_array_equal(unital_witness("choi3").action, choi.action)
+    for name in ("transpose", "reduction", "choi3"):
+        phi = unital_witness(name, 3)
+        assert phi.unital and phi.positive_declared
+    with pytest.raises(UnknownName):
+        unital_witness("reduction", 1)
+    with pytest.raises(UnknownName):
+        unital_witness("choi3", 4)
 
 
 def test_vectorization_convention():

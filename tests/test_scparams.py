@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schur_dilate.contraction import defect, defect_star, julia
-from schur_dilate.errors import NotPSD, NotUnitary, ShapeUnsupported
+from schur_dilate.errors import NoFactor, NotPSD, NotUnitary, ShapeUnsupported
 from schur_dilate.linalg import Tolerances, dagger, is_psd, kron, opnorm
 from schur_dilate.sampling import (
     complex_gaussian,
@@ -311,6 +311,16 @@ def test_unitary_factorize_validation():
         unitary_factorize(np.eye(4), BlockShape((1, 3), (1, 3)))
 
 
+def test_unitary_factorize_reads_caller_tolerance():
+    rng = rng_from_seed(54)
+    u = random_unitary(rng, 4) + 1e-7 * complex_gaussian(rng, 4, 4)
+    shape = BlockShape((2, 2), (2, 2))
+    with pytest.raises(NotUnitary):
+        unitary_factorize(u, shape)
+    g1, g2, g3 = unitary_factorize(u, shape, Tolerances(psd_tol=1e-4))
+    np.testing.assert_allclose(unitary_reassemble(g1, g2, g3), u, atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # positive matrices
 
@@ -375,6 +385,33 @@ def test_psd_singular_blocks_roundtrip():
         # re-parametrizing the reconstruction reproduces the matrix again
         again = psd_parametrize(psd_reconstruct(params), BlockShape((2, 2, 1), (2, 2, 1)))
         np.testing.assert_allclose(psd_reconstruct(again), a, atol=1e-8)
+
+
+def test_psd_near_singular_full_rank_keeps_its_coupling():
+    # full rank, determinant 1.9e-12: the 1e-11 eigenvalue is no rounding
+    # noise, and a rank cut at psd_tol would drop the 2.85e-6 coupling
+    c = 2.85e-6
+    a = np.array([[1.0, c], [c, 1e-11]], dtype=complex)
+    params = psd_parametrize(a, BlockShape((1, 1), (1, 1)))
+    assert abs(params.gammas[0][0][0, 0]) == pytest.approx(c / np.sqrt(1e-11))
+    np.testing.assert_allclose(psd_reconstruct(params), a, rtol=0, atol=1e-15)
+    # the same coupling against a trailing block diag(1, 1e-11)
+    a = np.array([[1.0, 0.3, c], [0.3, 1.0, 0.0], [c, 0.0, 1e-11]], dtype=complex)
+    assert np.linalg.eigvalsh(a)[0] > 0
+    params = psd_parametrize(a, BlockShape((1, 2), (1, 2)))
+    np.testing.assert_allclose(psd_reconstruct(params), a, rtol=0, atol=1e-15)
+
+
+def test_psd_rank_cut_that_loses_a_coupling_raises():
+    # c^2 exceeds the trailing entry by 1e-6 relative, within the PSD
+    # tolerance: the plain row solve has norm 1 + 5e-7, and the cut pass
+    # zeroes the 1e-11 entry and with it the coupling, so neither pass may
+    # return parameters
+    c = np.sqrt(1e-11 * (1 + 1e-6))
+    a = np.array([[1.0, c], [c, 1e-11]], dtype=complex)
+    assert is_psd(a)
+    with pytest.raises(NoFactor):
+        psd_parametrize(a, BlockShape((1, 1), (1, 1)))
 
 
 def test_psd_rejects_indefinite():

@@ -155,6 +155,59 @@ def test_psd_roundtrip(data):
     assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
 
 
+@st.composite
+def rank_deficient_psd(draw):
+    """``G*G`` for an r x N Gaussian ``G`` whose i-th block column has rank
+    at most ``r_i``: every rank profile of the diagonal blocks, zero blocks
+    and rank-deficient wholes included."""
+    dims = draw(blocks)
+    rank = draw(st.integers(0, sum(dims)))
+    rng = rng_from_seed(draw(seed))
+    cols = []
+    for d in dims:
+        r_i = draw(st.integers(0, d))
+        cols.append(complex_gaussian(rng, rank, r_i) @ complex_gaussian(rng, r_i, d))
+    g = np.hstack(cols)
+    return dagger(g) @ g, BlockShape(dims, dims)
+
+
+@examples
+@given(rank_deficient_psd())
+def test_psd_roundtrip_rank_deficient(case):
+    a, shape = case
+    again = psd_reconstruct(psd_parametrize(a, shape))
+    assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
+
+
+def test_psd_roundtrip_trailing_factor_with_rounding_direction():
+    # Five blocks with full-rank roots and gammas of singular values 0, 1
+    # and 1 - 2.3e-9 leave the trailing Cholesky factor with rounding-level
+    # singular values; a relative-only pinv cutoff kept one of them and the
+    # row solve reached operator norm 11 (NoFactor).
+    dims = (2, 3, 4, 3, 4)
+    near_one = 10 ** -1e-9
+    singular = iter([(0, 0), (0, 0), (1, 0), (0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+                     (0, 1, near_one), (0, 1, 1, 1), (0, 0, 0)])
+    rng = rng_from_seed(0)
+    roots = []
+    for d in dims:
+        b = complex_gaussian(rng, d, d)
+        roots.append(dagger(b) @ b + np.eye(d))
+    gammas = []
+    for i, p in enumerate(dims):
+        row = []
+        for q in dims[i + 1:]:
+            s = np.array(next(singular), dtype=float)
+            u = random_unitary(rng, p)[:, :len(s)]
+            v = random_unitary(rng, q)[:, :len(s)]
+            row.append((u * s) @ dagger(v))
+        gammas.append(row)
+    shape = BlockShape(dims, dims)
+    a = psd_reconstruct(PositiveSCParams(roots, gammas, shape))
+    again = psd_reconstruct(psd_parametrize(a, shape))
+    assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
+
+
 def grid_roundtrip(rows):
     """Round-trip of the 2 x 3 grid of scalar parameters ``rows``."""
     grid = tuple(tuple(np.array([[z]], dtype=complex) for z in row) for row in rows)
