@@ -29,7 +29,7 @@ from . import __version__
 from . import serialize
 from .contraction import CLIP_SLACK
 from .dilation import channel_dilate, channel_simulate, povm_dilate, povm_verify
-from .errors import NoConvergence, SchurDilateError
+from .errors import NoConvergence, NoFactor, SchurDilateError
 from .families import (
     FAMILY_NAMES,
     bell_control_sample,
@@ -37,7 +37,7 @@ from .families import (
     gen_family,
     witness_check,
 )
-from .linalg import Tolerances, frob
+from .linalg import Tolerances, frob, zero_level
 from .maps import WITNESS_NAMES, builtin_witness
 from .sampling import random_density, rng_from_seed
 from .scparams import (
@@ -105,6 +105,14 @@ def cmd_param(args, tol: Tolerances) -> int:
         params = psd_parametrize(matrix, shape, tol)
         recon = psd_reconstruct(params, tol)
     err = frob(recon - matrix)
+    scale = max(1.0, frob(matrix))
+    bound = tol.recon_tol * scale
+    if kind == "psd":
+        # the psd gate admits eigenvalues down to -zero_level(scale) and the
+        # rebuild is PSD, so it may also differ by that clamped part
+        bound += np.sqrt(matrix.shape[0]) * zero_level(scale, tol)
+    if err > bound:
+        raise NoFactor(f"round-trip error {err:.1e} exceeds recon_tol bound {bound:.1e}")
     print(f"roundtrip={err:.1e}", file=sys.stderr)
     if args.reconstruct:
         serialize.dump(serialize.matrix_to_obj(recon), args.out)

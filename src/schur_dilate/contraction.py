@@ -7,11 +7,16 @@ For a contraction ``T`` the defect operators are
 
 and ``[[T, D_T*], [D_T, -T*]]`` is unitary (``julia_block``; ``with_freedom``
 applies its freedom ``diag(I, U1) . U . diag(I, U2)``).  Both defects come
-from one SVD (``defects``): one SVD per gamma.  The two solve operations
-realize the closed-form factorizations ``Gamma = Y X^+`` that every
-parametrization in this package is built from: the pseudoinverse extends
-the factor by zero off the closed range, which is also the normalization
-making Gamma unique.
+from one SVD (``defects``), which also takes a stack of same-shaped
+matrices.  The two solve operations realize the closed-form factorizations
+``Gamma = Y X^+`` that every parametrization in this package is built from:
+the pseudoinverse extends the factor by zero off the closed range, which is
+also the normalization making Gamma unique.
+
+The parametrizations pay two SVDs per extracted gamma, one stacked SVD per
+rebuild: extraction takes one SVD for the pseudoinverse and one of Gamma
+itself, which gives its norm test, its clip and both its defects; a rebuild
+knows all its gammas up front and takes their defects from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .linalg import (
     frob,
     hermitian_part,
     opnorm,
-    pinv,
+    _pinv_rank,
     rank_rcond,
     zero_level,
 )
@@ -80,26 +85,45 @@ def clip_to_contraction(g: np.ndarray) -> np.ndarray:
     return (u * np.minimum(s, 1.0)) @ vh
 
 
+def _pad_ones(root: np.ndarray, n: int) -> np.ndarray:
+    """``root`` extended by ones along its last axis to length ``n``."""
+    if root.shape[-1] == n:
+        return root
+    return np.concatenate((root, np.ones(root.shape[:-1] + (n - root.shape[-1],))), axis=-1)
+
+
+def _defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: Tolerances) -> DefectPair:
+    """Both defects from the full SVD ``T = U S V*`` of a matrix or a stack."""
+    w = (1.0 - s) * (1.0 + s)
+    root = np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w))
+    d_t = (dagger(vh) * _pad_ones(root, vh.shape[-1])[..., np.newaxis, :]) @ vh
+    d_t_star = (u * _pad_ones(root, u.shape[-1])[..., np.newaxis, :]) @ dagger(u)
+    return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
+
+
 def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
     """Both defect operators from one SVD ``T = U S V*``.
 
     ``D_T = V sqrt(1 - S^2) V*`` and ``D_T* = U sqrt(1 - S^2) U*``, the
     identity on the kernel complements.  Values of ``1 - s^2`` at or below
     ``zero_level(1)`` count as 0, so singular values that are 1 up to
-    rounding leave exact kernels instead of sqrt(eps) noise.
+    rounding leave exact kernels instead of sqrt(eps) noise.  ``t`` may be
+    a stack ``(k, m, n)`` of matrices: one stacked SVD then gives stacked
+    defects, each bit-identical to the defects of its matrix alone.
     """
-    t = as_matrix(t)
+    t = np.asarray(t, dtype=complex)
+    if t.ndim != 3:
+        t = as_matrix(t)
+    elif not np.all(np.isfinite(t)):
+        raise ValueError("matrix stack contains non-finite entries")
     try:
         u, s, vh = np.linalg.svd(t)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    if s.size and s[0] > 1.0 + tol.psd_tol:
-        raise NotContraction(f"operator norm {s[0]:.12f} exceeds 1")
-    w = (1.0 - s) * (1.0 + s)
-    root = np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w))
-    d_t = (dagger(vh) * np.append(root, np.ones(t.shape[1] - s.size))) @ vh
-    d_t_star = (u * np.append(root, np.ones(t.shape[0] - s.size))) @ dagger(u)
-    return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
+    norm = s.max(initial=0.0)
+    if norm > 1.0 + tol.psd_tol:
+        raise NotContraction(f"operator norm {norm:.12f} exceeds 1")
+    return _defect_pair(u, s, vh, tol)
 
 
 def defect(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -147,6 +171,15 @@ def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
     return min(zero_level(1.0, tol), CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
 
 
+def _solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``Y X^+`` from one SVD of X, raising ``NoFactor`` if it leaves a residual."""
+    g = y @ _pinv_rank(x, rank_rcond(x, tol, _solve_atol(x, tol)))[0]
+    residual = frob(g @ x - y)
+    if residual > CLIP_SLACK * max(1.0, frob(y)):
+        raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual:.3e}")
+    return g
+
+
 def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Contraction Gamma with Gamma X = Y, given Y*Y <= X*X.
 
@@ -158,10 +191,7 @@ def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     y = as_matrix(y, "y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"column counts differ: {x.shape} vs {y.shape}")
-    g = y @ pinv(x, tol, _solve_atol(x, tol))
-    residual = frob(g @ x - y)
-    if residual > CLIP_SLACK * max(1.0, frob(y)):
-        raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual:.3e}")
+    g = _solve(x, y, tol)
     try:
         return clip_to_contraction(g)
     except NotContraction as exc:
@@ -173,11 +203,35 @@ def solve_left_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return dagger(solve_contraction_factor(dagger(as_matrix(x)), dagger(as_matrix(y)), tol))
 
 
+def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
+                tol: Tolerances) -> tuple[np.ndarray, DefectPair]:
+    """Gamma with ``dacc Gamma = blk`` and both its defects, from two SVDs.
+
+    The arithmetic of ``solve_left_factor`` followed by ``defects``, on
+    internal arrays, so without their input checks: one SVD gives the
+    pseudoinverse of ``dacc``, and one full SVD of Gamma gives the norm
+    test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
+    both defects of the clipped Gamma.
+    """
+    g = dagger(_solve(dagger(dacc), dagger(blk), tol))
+    try:
+        u, s, vh = np.linalg.svd(g)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    if s[0] > 1.0:
+        if s[0] > 1.0 + CLIP_SLACK:
+            raise NoFactor(f"operator norm {s[0]:.12e} exceeds 1 + {CLIP_SLACK:.1e}")
+        s = np.minimum(s, 1.0)
+        g = (u[:, :s.size] * s) @ vh[:s.size]
+    return g, _defect_pair(u, s, vh, tol)
+
+
 def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsometryFactor:
     """Partial isometry V with V X = Y, given X*X = Y*Y.
 
     The initial space is the closed range of X; ``initial_rank`` is its
-    numerical dimension.
+    numerical dimension, the number of singular values the pseudoinverse
+    keeps.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -186,8 +240,5 @@ def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsomet
     dev = frob(gx - gy)
     if dev > tol.psd_tol * max(1.0, frob(gx)):
         raise NotEquinormed(f"X*X and Y*Y differ by {dev:.3e}")
-    atol = _solve_atol(x, tol)
-    v = y @ pinv(x, tol, atol)
-    s = np.linalg.svd(x, compute_uv=False)
-    rank = int((s > rank_rcond(x, tol, atol) * (s[0] if s.size else 1.0)).sum())
-    return PartialIsometryFactor(v=v, initial_rank=rank)
+    x_pinv, rank = _pinv_rank(x, rank_rcond(x, tol, _solve_atol(x, tol)))
+    return PartialIsometryFactor(v=y @ x_pinv, initial_rank=rank)

@@ -36,10 +36,10 @@ from .linalg import (
     DEFAULT_TOL,
     PsdResult,
     Tolerances,
+    as_matrix,
     dagger,
     hermitian_part,
     is_psd,
-    kron,
     sqrt_psd,
 )
 from .maps import MatrixLinearMap, apply_blockwise
@@ -138,9 +138,19 @@ def build_span3(a, b, c, pattern: str) -> np.ndarray:
     the complex span of the pattern).
     """
     u, w = SPAN_FRAMES[pattern]
-    return (kron(a, np.outer(u, u))
-            + kron(b, np.outer(u, w) + np.outer(w, u))
-            + kron(c, np.outer(w, w)))
+    terms = [as_matrix(x) for x in (a, b, c)]
+    frames = (np.outer(u, u), np.outer(u, w) + np.outer(w, u), np.outer(w, w))
+    rows, cols = terms[0].shape
+    out = np.empty((rows, 3, cols, 3), dtype=complex)
+    for live, frame in enumerate(frames):
+        # The frames are 0/1 with disjoint supports, so each entry of the
+        # kron sum has one live term; computing x * 1 + y * 0 + z * 0 in the
+        # sum's own order keeps its signed zeros.
+        weights = [1 + 0j if i == live else 0j for i in range(3)]
+        tile = terms[0] * weights[0] + terms[1] * weights[1] + terms[2] * weights[2]
+        for p, q in zip(*np.nonzero(frame)):
+            out[:, p, :, q] = tile
+    return out.reshape(3 * rows, 3 * cols)
 
 
 def _gen_arrow(rng, n, k, tol, first):

@@ -65,7 +65,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -161,15 +162,28 @@ def rank_rcond(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) 
     return rcond
 
 
+def _pinv_rank(a: np.ndarray, rcond: float) -> tuple[np.ndarray, int]:
+    """``np.linalg.pinv(a, rcond)`` and the number of singular values it keeps.
+
+    One SVD, in ``np.linalg.pinv``'s own arithmetic, so the pseudoinverse is
+    bit-identical to numpy's.  ``a`` must be a finite 2-D complex array.
+    """
+    if a.size == 0:
+        return np.zeros((a.shape[1], a.shape[0]), dtype=complex), 0
+    try:
+        u, s, vh = np.linalg.svd(a.conjugate(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    large = s > rcond * np.amax(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vh.T @ (s[:, np.newaxis] * u.T), int(large.sum())
+
+
 def pinv(a, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse with the rank cutoff of ``rank_rcond``."""
     a = as_matrix(a)
-    if a.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]), dtype=complex)
-    try:
-        return np.linalg.pinv(a, rcond=rank_rcond(a, tol, atol))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(str(exc)) from exc
+    return _pinv_rank(a, rank_rcond(a, tol, atol))[0]
 
 
 def is_psd(a, tol: Tolerances = DEFAULT_TOL) -> PsdResult:

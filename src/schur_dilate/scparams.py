@@ -24,9 +24,13 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD per gamma gives ``D_Gamma`` and ``D_Gamma*``: the row solves hand
-these pairs to the triangular factors, which chain them as prefix products.
-The unitary split reassembles through ``julia_block`` and ``with_freedom``.
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, so the
+parametrizations pay two SVDs per extracted gamma, one stacked SVD per
+rebuild: extraction takes one SVD for the pseudoinverse solve and one of the
+gamma, which also decides its clip; a rebuild knows all its gammas up front
+and takes their defects from one stacked SVD (one per distinct gamma
+shape).  The triangular factors chain these pairs as prefix products.  The
+unitary split reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -41,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import (
+    DefectPair,
+    _gamma_step,
     check_contraction,
     clip_to_contraction,
     defect,
@@ -201,28 +207,44 @@ def _split_cols(t: np.ndarray, dims) -> list[np.ndarray]:
 
 
 def _row_extract(t: np.ndarray, dims, tol: Tolerances):
-    """Row gammas of ``t`` and their defect pairs, one SVD each."""
+    """Row gammas of ``t`` and their defect pairs, two SVDs each."""
     dacc = np.eye(t.shape[0], dtype=complex)
     gammas, pairs = [], []
     for blk in _split_cols(t, dims):
-        g = solve_left_factor(dacc, blk, tol)
-        pair = defects(g, tol)
+        g, pair = _gamma_step(dacc, blk, tol)
         gammas.append(g)
         pairs.append(pair)
         dacc = dacc @ pair.d_t_star
     return gammas, pairs
 
 
-def _row_build(gammas, h: int, tol: Tolerances):
-    """Row contraction from its gammas, plus the defect pairs it used."""
+def _defect_grid(rows, tol: Tolerances) -> list[list[DefectPair]]:
+    """Defect pairs of rows of gammas, shaped like ``rows``.
+
+    One stacked SVD per distinct gamma shape, bit-identical to a
+    ``defects`` call per gamma.
+    """
+    flat = [g for row in rows for g in row]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, g in enumerate(flat):
+        groups.setdefault(g.shape, []).append(i)
+    pairs: list = [None] * len(flat)
+    for idx in groups.values():
+        stack = defects(np.stack([flat[i] for i in idx]), tol)
+        for j, i in enumerate(idx):
+            pairs[i] = DefectPair(stack.d_t[j], stack.d_t_star[j])
+    it = iter(pairs)
+    return [[next(it) for _ in row] for row in rows]
+
+
+def _row_build(gammas, pairs, h: int) -> np.ndarray:
+    """Row contraction from its gammas and their defect pairs."""
     dacc = np.eye(h, dtype=complex)
-    blocks, pairs = [], []
-    for g in gammas:
-        pair = defects(g, tol)
+    blocks = []
+    for g, pair in zip(gammas, pairs):
         blocks.append(dacc @ g)
-        pairs.append(pair)
         dacc = dacc @ pair.d_t_star
-    return np.hstack(blocks), pairs
+    return np.hstack(blocks)
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -238,8 +260,8 @@ def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
 def row_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "row":
         raise ValueError("row_reconstruct needs row-oriented parameters")
-    t, _ = _row_build(params.gammas, params.shape.rows, tol)
-    return t
+    gammas = params.gammas
+    return _row_build(gammas, _defect_grid([gammas], tol)[0], params.shape.rows)
 
 
 def _adjoints(gammas) -> list[np.ndarray]:
@@ -263,8 +285,8 @@ def col_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
 def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "column":
         raise ValueError("col_reconstruct needs column-oriented parameters")
-    t_star, _ = _row_build(_adjoints(params.gammas), params.shape.cols, tol)
-    return dagger(t_star)
+    gammas = _adjoints(params.gammas)
+    return dagger(_row_build(gammas, _defect_grid([gammas], tol)[0], params.shape.cols))
 
 
 def _row_lower_factor(gammas, pairs) -> np.ndarray:
@@ -277,12 +299,13 @@ def _row_lower_factor(gammas, pairs) -> np.ndarray:
     contraction C the factor of its row adjoint C* satisfies F F* = I - C C*.
     """
     off = _offsets([g.shape[1] for g in gammas])
+    neg_adjoints = [-dagger(g) for g in gammas]
     f = np.zeros((off[-1], off[-1]), dtype=complex)
     for j, gj in enumerate(gammas):
         f[off[j]:off[j + 1], off[j]:off[j + 1]] = pairs[j].d_t
         acc = gj
         for i in range(j + 1, len(gammas)):
-            f[off[i]:off[i + 1], off[j]:off[j + 1]] = -dagger(gammas[i]) @ acc
+            f[off[i]:off[i + 1], off[j]:off[j + 1]] = neg_adjoints[i] @ acc
             acc = pairs[i].d_t_star @ acc
     return f
 
@@ -297,7 +320,7 @@ def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
     gs = params.gammas
     if params.orientation == "column":
         gs = _adjoints(gs)
-    pairs = [defects(g, tol) for g in gs]
+    pairs = _defect_grid([gs], tol)[0]
     product = np.eye(gs[0].shape[0], dtype=complex)
     for pair in pairs:
         product = product @ pair.d_t_star
@@ -337,12 +360,13 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
 def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     shape = params.shape
     ncols = len(shape.col_dims)
+    columns = [_adjoints(params.column(j)) for j in range(ncols)]
+    column_pairs = _defect_grid(columns, tol)
     dacc = np.eye(shape.rows, dtype=complex)
     cols = []
     for j, d in enumerate(shape.col_dims):
-        gammas = _adjoints(params.column(j))
-        ck_star, pairs = _row_build(gammas, d, tol)
-        cols.append(dacc @ dagger(ck_star))
+        gammas, pairs = columns[j], column_pairs[j]
+        cols.append(dacc @ dagger(_row_build(gammas, pairs, d)))
         if j + 1 < ncols:  # no block column left to build
             dacc = dacc @ _row_lower_factor(gammas, pairs)
     return np.hstack(cols)
@@ -358,7 +382,7 @@ def matrix_defects_2x2(params: MatrixContractionParams, tol: Tolerances = DEFAUL
     if len(shape.row_dims) != 2 or len(shape.col_dims) != 2:
         raise ShapeUnsupported("2 x 2 block parameters required")
     (g1, g2), (g3, g4) = params.gammas
-    p1, p2, p3, p4 = (defects(g, tol) for g in (g1, g2, g3, g4))
+    (p1, p2), (p3, p4) = _defect_grid(params.gammas, tol)
     factor_t = np.block([
         [p3.d_t @ p1.d_t, -p3.d_t @ dagger(g1) @ g2 - dagger(g3) @ g4 @ p2.d_t],
         [np.zeros(shape.col_dims[::-1]), p4.d_t @ p2.d_t],
@@ -458,7 +482,7 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
 
     Maintains the block Cholesky factor of the trailing principal
     submatrix; each step above solves one row contraction against it.
-    Besides one root per diagonal block, the extraction costs one SVD per
+    Besides one root per diagonal block, the extraction costs two SVDs per
     gamma.  The uncut pass is exact on full-rank inputs; on rank-deficient
     ones rounding-level singular values can cost it sqrt(eps) or push a
     solve past norm 1.  The pass cut at ``zero_level(max|a|)`` goes first
@@ -484,10 +508,11 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     """Block upper-triangular L with L*L equal to the reconstructed matrix."""
     dims = params.dims
     n = len(dims)
+    row_pairs = _defect_grid(params.gammas, tol)
     chol = np.array(params.diag_roots[n - 1])
     for k in range(n - 2, -1, -1):
-        gammas = params.gammas[k]
-        rk, pairs = _row_build(gammas, dims[k], tol)
+        gammas, pairs = params.gammas[k], row_pairs[k]
+        rk = _row_build(gammas, pairs, dims[k])
         chol = _chol_step(params.diag_roots[k], rk, gammas, pairs, chol)
     return chol
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from schur_dilate import serialize
+from schur_dilate import cli, serialize
 from schur_dilate.cli import main
 from schur_dilate.linalg import unitarity_deviation
 from schur_dilate.sampling import complex_gaussian, rng_from_seed
@@ -80,6 +80,31 @@ def test_param_domain_violation_exits_2(tmp_path, capsys):
                            "--in", str(src), "--out", str(out))
     assert code == 2
     assert "NotPSD" in err and "eigenvalue" in err
+
+
+@pytest.mark.parametrize("kind, shape, rows, cols, reconstruct", [
+    ("row", "2+2", 2, 4, "row_reconstruct"),
+    ("column", "2+2", 4, 2, "col_reconstruct"),
+    ("matrix", "2+2x2+2", 4, 4, "matrix_reconstruct"),
+    ("psd", "2+2", 4, 4, "psd_reconstruct"),
+])
+@pytest.mark.parametrize("flag", [[], ["--reconstruct"]])
+def test_param_lossy_roundtrip_exits_2(tmp_path, capsys, monkeypatch, kind, shape,
+                                       rows, cols, reconstruct, flag):
+    rng = rng_from_seed(113)
+    g = complex_gaussian(rng, rows, cols)
+    a = g.conj().T @ g if kind == "psd" else g / np.linalg.norm(g, 2) * 0.8
+    src = tmp_path / "a.json"
+    out = tmp_path / "p.json"
+    write_matrix(src, a)
+    exact = getattr(cli, reconstruct)
+    monkeypatch.setattr(cli, reconstruct, lambda params, tol: exact(params, tol) + 1e-6)
+    code, _, err = run_cli(capsys, "param", "--kind", kind, "--shape", shape,
+                           "--in", str(src), "--out", str(out), *flag)
+    assert code == 2
+    assert "NoFactor" in err and "round-trip" in err
+    assert "roundtrip=" not in err
+    assert not out.exists()
 
 
 def test_param_io_failure_exits_1(tmp_path, capsys):

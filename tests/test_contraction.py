@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schur_dilate.contraction import (
+    CLIP_SLACK,
+    _gamma_step,
     defects,
     julia,
     solve_contraction_factor,
+    solve_left_factor,
     solve_partial_isometry,
     with_freedom,
 )
 from schur_dilate.errors import NoConvergence, NoFactor, NotContraction, NotEquinormed
-from schur_dilate.linalg import Tolerances, dagger, opnorm, sqrt_psd
+from schur_dilate.linalg import Tolerances, _pinv_rank, dagger, opnorm, rank_rcond, sqrt_psd
 from schur_dilate.sampling import (
     complex_gaussian,
     random_contraction,
@@ -183,3 +188,89 @@ def test_partial_isometry_square_root_freedom():
 def test_partial_isometry_requires_equal_grams():
     with pytest.raises(NotEquinormed):
         solve_partial_isometry(np.eye(2), 2.0 * np.eye(2))
+
+
+# -- batched and fused kernels ------------------------------------------------
+
+side = st.integers(1, 5)
+# exactly 0 and 1 beside interior values, so exact kernels and the zero
+# clamp of 1 - s^2 are exercised
+kernel_singular_value = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 1 - 1e-3))
+
+
+@st.composite
+def contraction_stacks(draw):
+    """k same-shaped contractions (tall, wide or square) with drawn singular values."""
+    p, q, k = draw(side), draw(side), draw(st.integers(1, 6))
+    rng = rng_from_seed(draw(st.integers(0, 2**32 - 1)))
+    out = []
+    for _ in range(k):
+        s = draw(st.lists(kernel_singular_value, min_size=min(p, q), max_size=min(p, q)))
+        u = random_unitary(rng, p)[:, :len(s)]
+        v = random_unitary(rng, q)[:, :len(s)]
+        out.append((u * np.array(s)) @ dagger(v))
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(contraction_stacks())
+def test_stacked_defects_equal_per_matrix_defects_bitwise(ts):
+    stack = defects(np.stack(ts))
+    for i, t in enumerate(ts):
+        pair = defects(t)
+        assert same_bits(stack.d_t[i], pair.d_t)
+        assert same_bits(stack.d_t_star[i], pair.d_t_star)
+
+
+def test_stacked_defects_check_every_matrix():
+    with pytest.raises(NotContraction):
+        defects(np.stack([0.5 * np.eye(2), 1.5 * np.eye(2)]))
+    with pytest.raises(ValueError):
+        defects(np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+
+
+def test_pinv_rank_is_numpy_pinv_bitwise():
+    rng = rng_from_seed(28)
+    for rows, cols in ((3, 5), (5, 3), (4, 4)):
+        a = complex_gaussian(rng, rows, 2) @ complex_gaussian(rng, 2, cols)  # rank 2
+        rcond = rank_rcond(a, Tolerances(), 1e-10)
+        inverse, rank = _pinv_rank(a, rcond)
+        assert same_bits(inverse, np.linalg.pinv(a, rcond=rcond))
+        assert rank == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_gamma_step_is_solve_then_defects_bitwise(h, d, seed):
+    rng = rng_from_seed(seed)
+    # a product of two codomain defects, as the row extraction accumulates
+    dacc = (defects(random_contraction(rng, h, h, spectral_norm=0.9)).d_t_star
+            @ defects(random_contraction(rng, h, 2)).d_t_star)
+    blk = dacc @ random_contraction(rng, h, d, spectral_norm=0.9)
+    g, pair = _gamma_step(dacc, blk, Tolerances())
+    want = solve_left_factor(dacc, blk)
+    assert opnorm(want) <= 1.0   # nothing clipped
+    assert same_bits(g, want)
+    want_pair = defects(want)
+    assert same_bits(pair.d_t, want_pair.d_t)
+    assert same_bits(pair.d_t_star, want_pair.d_t_star)
+
+
+def test_gamma_step_clips_within_slack_and_fails_beyond():
+    rng = rng_from_seed(29)
+    u, v = random_unitary(rng, 3), random_unitary(rng, 2)[:, :2]
+    dacc = np.eye(3, dtype=complex)
+    over = (u[:, :2] * np.array([1.0 + CLIP_SLACK / 2, 0.5])) @ dagger(v)
+    g, pair = _gamma_step(dacc, over, Tolerances())
+    # singular values are clipped to exactly 1; the rebuilt G rounds
+    assert opnorm(g) <= 1.0 + 4 * np.finfo(float).eps < opnorm(over)
+    # the defects belong to the clipped gamma: D_G*^2 + G G* = I
+    assert np.linalg.norm(pair.d_t_star @ pair.d_t_star + g @ dagger(g) - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(pair.d_t @ pair.d_t + dagger(g) @ g - np.eye(2)) <= 1e-12
+    beyond = (u[:, :2] * np.array([1.0 + 10 * CLIP_SLACK, 0.5])) @ dagger(v)
+    with pytest.raises(NoFactor):
+        _gamma_step(dacc, beyond, Tolerances())

@@ -1,10 +1,14 @@
 """Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
-Each gamma costs one SVD, which gives both D_Gamma and D_Gamma*; ``eigh``
-is left to the positive roots of diagonal blocks.  The counts below are
-ceilings on the benchmark self-test's inputs; the inequality suite runs
-ten trials of the transpose witness.  The witness harness applies I_k (x) phi
+An extracted gamma costs two SVDs: one for the pseudoinverse of its solve,
+and one of the gamma, which gives its clip and both D_Gamma and D_Gamma*.
+A rebuild takes the defects of all its same-shaped gammas from one stacked
+SVD.  ``eigh`` is left to the positive roots of diagonal blocks.  The
+pseudoinverses are SVDs of their own, so extraction gates count ``svd``,
+``pinv`` and ``norm2`` together.  The counts below are ceilings on the
+benchmark self-test's inputs; the inequality suite runs ten trials of the
+transpose witness.  The witness harness applies I_k (x) phi
 as one matmul and tests positivity with one ``eigvalsh``; arrow samples are
 built once, without ``np.block``.  Both dilations complete an isometry, whose
 Julia unitary needs no factorization at all.
@@ -15,7 +19,7 @@ import collections
 import numpy as np
 import pytest
 
-from schur_dilate import dilation, families, maps, scparams
+from schur_dilate import contraction, dilation, families, maps, scparams
 
 
 @pytest.fixture
@@ -78,16 +82,17 @@ def test_psd_counts(counts):
     psd, _, _ = inputs()
     counts.clear()
     params = scparams.psd_parametrize(psd, scparams.BlockShape((4,) * 16, (4,) * 16))
-    # 16 roots, and one SVD for the defects of each of the 120 gammas
+    # 16 roots; two SVDs for each of the 120 gammas; for each of the 15 row
+    # contractions, two pseudoinverses and the clip of the contraction
     assert counts["eigh"] <= 16
-    assert counts["svd"] <= 120
-    assert counts["pinv"] == 150
-    assert counts["norm2"] <= 166
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 285
+    assert counts["norm2"] <= 15
     counts.clear()
     scparams.psd_reconstruct(params)
+    # the defects of all 120 gammas from one stacked SVD
     assert counts["eigh"] == 0
-    assert counts["svd"] <= 120
-    assert counts["norm2"] == 0
+    assert counts["svd"] == 1
+    assert counts["pinv"] + counts["norm2"] == 0
 
 
 def test_matrix_counts(counts):
@@ -95,13 +100,28 @@ def test_matrix_counts(counts):
     grid = scparams.BlockShape((2,) * 8, (2,) * 8)
     counts.clear()
     params = scparams.matrix_parametrize(t, grid)
+    # the norm test of T; two SVDs for each of the 64 gammas; the solve and
+    # the clip of each of the 8 block columns
     assert counts["eigh"] == 0
-    assert counts["svd"] <= 64
-    assert counts["pinv"] == 72
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 145
     counts.clear()
     scparams.matrix_reconstruct(params)
+    # the defects of the whole grid from one stacked SVD
     assert counts["eigh"] == 0
-    assert counts["svd"] <= 64
+    assert counts["svd"] == 1
+    assert counts["pinv"] + counts["norm2"] == 0
+
+
+def test_partial_isometry_counts(counts):
+    rng = np.random.default_rng(2)
+    b = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    counts.clear()
+    res = contraction.solve_partial_isometry(b, q @ b)
+    # V and its initial rank from the same SVD
+    assert counts["svd"] == 1
+    assert counts["pinv"] + counts["norm2"] == 0
+    assert res.initial_rank == 4
 
 
 def test_channel_dilate_counts(counts):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schur_dilate import families
 from schur_dilate.errors import UnsupportedCombination
 from schur_dilate.families import (
     FAMILY_NAMES,
@@ -110,6 +111,38 @@ def test_span_rank_one_sample_is_tensor_with_pattern_vector():
     x = alpha * u + beta * w   # = (alpha, alpha, beta)
     np.testing.assert_allclose(a, kron(coeff, np.outer(x, x)), atol=1e-12)
     assert is_psd(a).ok
+
+
+def span3_by_kron(a, b, c, pattern):
+    u, w = SPAN_FRAMES[pattern]
+    return (kron(a, np.outer(u, u))
+            + kron(b, np.outer(u, w) + np.outer(w, u))
+            + kron(c, np.outer(w, w)))
+
+
+@pytest.mark.parametrize("family", sorted(SPAN_FRAMES))
+def test_span3_samples_equal_kron_sum_bitwise(monkeypatch, family):
+    drawn = []
+
+    def recording(a, b, c, pattern):
+        drawn.append((a, b, c, pattern))
+        return build_span3(a, b, c, pattern)
+
+    monkeypatch.setattr(families, "build_span3", recording)
+    for seed in range(60):
+        sample = gen_family(family, 3, seed, block_count=1 + seed % 6)
+        assert sample.matrix.tobytes() == span3_by_kron(*drawn[-1]).tobytes()
+
+
+@pytest.mark.parametrize("pattern", sorted(SPAN_FRAMES))
+def test_build_span3_keeps_signed_zeros(pattern):
+    # every combination of signed zeros and nonzeros in both parts
+    parts = np.array([0.0, -0.0, 1.5, -2.5])
+    re, im = np.meshgrid(parts, parts)
+    z = np.empty((4, 4), dtype=complex)
+    z.real, z.imag = re, im
+    for a, b, c in ((z, z[::-1], z[:, ::-1]), (z.T, z, z[::-1]), (z[:, ::-1], z.T, z)):
+        assert build_span3(a, b, c, pattern).tobytes() == span3_by_kron(a, b, c, pattern).tobytes()
 
 
 def test_arrow_builder_keeps_placement():
