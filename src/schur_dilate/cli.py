@@ -13,12 +13,15 @@ Exit codes: 0 success / all trials passed, 1 I/O or parse failure,
 The environment variable ``SCHUR_DILATE_TOL`` overrides the positivity
 tolerance.  Stochastic commands require an explicit ``--seed``; identical
 flags and seed produce byte-identical reports (modulo the version header).
+``witness`` generates and checks its trials in chunks of stacked samples,
+which leaves every report line as a one-trial run would write it.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -32,16 +35,18 @@ from .dilation import channel_dilate, channel_simulate, povm_dilate, povm_verify
 from .errors import NoConvergence, NoFactor, SchurDilateError
 from .families import (
     FAMILY_NAMES,
+    _block_count,
+    _gen_samples,
     bell_control_sample,
     choi_control_sample,
-    gen_family,
     witness_check,
 )
-from .linalg import Tolerances, frob, zero_level
+from .linalg import Tolerances, frob
 from .maps import WITNESS_NAMES, builtin_witness
 from .sampling import random_density, rng_from_seed
 from .scparams import (
     BlockShape,
+    _recon_bound,
     col_parametrize,
     col_reconstruct,
     matrix_parametrize,
@@ -58,6 +63,10 @@ EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
 CONTROL_FAMILIES = ("bell-control", "choi-control")
+
+# witness trials are generated and checked as stacks of at most this many
+# bytes of samples: 28 arrow trials of 24 x 24, 7 span trials of 48 x 48
+_CHUNK_BYTES = 256 * 1024
 
 
 def _tolerances() -> Tolerances:
@@ -105,12 +114,7 @@ def cmd_param(args, tol: Tolerances) -> int:
         params = psd_parametrize(matrix, shape, tol)
         recon = psd_reconstruct(params, tol)
     err = frob(recon - matrix)
-    scale = max(1.0, frob(matrix))
-    bound = tol.recon_tol * scale
-    if kind == "psd":
-        # the psd gate admits eigenvalues down to -zero_level(scale) and the
-        # rebuild is PSD, so it may also differ by that clamped part
-        bound += np.sqrt(matrix.shape[0]) * zero_level(scale, tol)
+    bound = _recon_bound(matrix, tol, psd=kind == "psd")
     if err > bound:
         raise NoFactor(f"round-trip error {err:.1e} exceeds recon_tol bound {bound:.1e}")
     print(f"roundtrip={err:.1e}", file=sys.stderr)
@@ -162,6 +166,16 @@ def cmd_dilate(args, tol: Tolerances) -> int:
     return EXIT_OK if report["passed"] else EXIT_NUMERICAL
 
 
+def _witness_chunks(args, tol: Tolerances):
+    """The trials' samples, generated in chunks of at most ``_CHUNK_BYTES``."""
+    side = args.block_dim * _block_count(args.family, args.blocks)
+    size = max(1, _CHUNK_BYTES // max(1, side * side * np.dtype(complex).itemsize))
+    seeds = [args.seed + trial for trial in range(args.trials)]
+    for start in range(0, len(seeds), size):
+        yield _gen_samples(args.family, args.block_dim, seeds[start:start + size], tol,
+                           block_count=args.blocks)
+
+
 def cmd_witness(args, tol: Tolerances) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
@@ -170,22 +184,20 @@ def cmd_witness(args, tol: Tolerances) -> int:
         # control fixtures carry their own dimension; --block-dim is ignored
         sample = bell_control_sample() if args.family == "bell-control" \
             else choi_control_sample()
-        dim, samples = sample.block_dim, [sample]
+        dim, chunks = sample.block_dim, [[sample]]
     else:
-        dim = args.block_dim
-        samples = (gen_family(args.family, dim, args.seed + trial, tol, block_count=args.blocks)
-                   for trial in range(args.trials))
+        dim, chunks = args.block_dim, _witness_chunks(args, tol)
     phi = builtin_witness(args.witness, dim=dim)
     worst = float("inf")
     all_passed = True
-    for sample in samples:
-        check = witness_check(phi, sample, tol)
-        worst = min(worst, check.min_eig)
-        all_passed = all_passed and check.passed
-        lines.append(_emit({
-            "family": args.family, "seed": sample.seed, "witness": args.witness,
-            "min_eig": check.min_eig, "passed": check.passed,
-        }))
+    for chunk in chunks:
+        for sample, check in zip(chunk, witness_check(phi, chunk, tol)):
+            worst = min(worst, check.min_eig)
+            all_passed = all_passed and check.passed
+            lines.append(_emit({
+                "family": args.family, "seed": sample.seed, "witness": args.witness,
+                "min_eig": check.min_eig, "passed": check.passed,
+            }))
     lines.append(_emit({"summary": True, "worst_min_eig": worst,
                         "all_passed": all_passed}))
     text = "\n".join(lines) + "\n"
@@ -197,6 +209,7 @@ def cmd_witness(args, tol: Tolerances) -> int:
     return EXIT_OK if all_passed else EXIT_DOMAIN
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schur-dilate",

@@ -34,6 +34,7 @@ from .linalg import (
     frob,
     hermitian_part,
     opnorm,
+    _as_stack,
     _pinv_rank,
     rank_rcond,
     zero_level,
@@ -111,11 +112,7 @@ def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
     a stack ``(k, m, n)`` of matrices: one stacked SVD then gives stacked
     defects, each bit-identical to the defects of its matrix alone.
     """
-    t = np.asarray(t, dtype=complex)
-    if t.ndim != 3:
-        t = as_matrix(t)
-    elif not np.all(np.isfinite(t)):
-        raise ValueError("matrix stack contains non-finite entries")
+    t = _as_stack(t)
     try:
         u, s, vh = np.linalg.svd(t)
     except np.linalg.LinAlgError as exc:
@@ -127,12 +124,12 @@ def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
 
 
 def defect(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """D_T, square of side cols(T)."""
+    """D_T, square of side cols(T); of each matrix, for a stack."""
     return defects(t, tol).d_t
 
 
 def defect_star(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """D_T*, square of side rows(T)."""
+    """D_T*, square of side rows(T); of each matrix, for a stack."""
     return defects(t, tol).d_t_star
 
 

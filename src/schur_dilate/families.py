@@ -18,10 +18,17 @@ claim numerically, sample by sample.  The families:
                     rank-two pattern span{u u*, u w* + w u*, w w*} for a
                     fixed 0/1 vector pair (u, w).
 
-``build_*`` functions assemble a family member from explicit ingredients;
-``gen_family`` draws the ingredients from a seeded generator.  Samples are
-deterministic in the seed, and the structural zeros / equal blocks hold
-exactly (bit-identical), not merely within tolerance.
+``build_*`` functions assemble a family member, or a stack of members,
+from explicit ingredients; ``gen_family`` draws the ingredients from a
+seeded generator.  Samples are deterministic in the seed, and the
+structural zeros / equal blocks hold exactly (bit-identical), not merely
+within tolerance.
+
+The harness generates and checks trials in chunks, each a stack of
+samples: every sample draws from its own seeded generator, then each
+generation stage and the check make one stacked LAPACK call for the
+chunk.  A seed gives the same sample bits in any chunk, and alone
+(``gen_family`` is the one-seed case).
 """
 
 from __future__ import annotations
@@ -34,9 +41,8 @@ from .contraction import defect_star
 from .errors import NotPSD, UnsupportedCombination
 from .linalg import (
     DEFAULT_TOL,
-    PsdResult,
     Tolerances,
-    as_matrix,
+    _as_stack,
     dagger,
     hermitian_part,
     is_psd,
@@ -87,7 +93,7 @@ class StateFamilySample:
 
 
 def build_toeplitz2(t, g, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """[[T, S], [S*, T]] with S = T^(1/2) G T^(1/2)."""
+    """[[T, S], [S*, T]] with S = T^(1/2) G T^(1/2); of each pair, for stacks."""
     root = sqrt_psd(t, tol)
     s = root @ np.asarray(g, dtype=complex) @ root
     return np.block([[t, s], [dagger(s), t]])
@@ -95,7 +101,10 @@ def build_toeplitz2(t, g, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
 def build_subnormal3(t, g, coupling_first: bool = True,
                      tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Three-block family coupled through a normal contraction and its defect."""
+    """Three-block family coupled through a normal contraction and its defect.
+
+    ``t`` and ``g`` may be stacks of matching length, giving a stack of members.
+    """
     t = np.asarray(t, dtype=complex)
     root = sqrt_psd(t, tol)
     g = np.asarray(g, dtype=complex)
@@ -109,24 +118,32 @@ def build_subnormal3(t, g, coupling_first: bool = True,
     return np.block(rows)
 
 
+def _arrow_strips(k: int, n: int, first: bool) -> tuple[slice, slice]:
+    """Rows (or columns) of the hub block and of the spoke blocks."""
+    if first:
+        return slice((k - 1) * n, k * n), slice(0, (k - 1) * n)
+    return slice(0, n), slice(n, k * n)
+
+
 def build_arrow(t, r, couplings, first: bool = True) -> np.ndarray:
-    """Arrow pattern from explicit Hermitian couplings (not positivity-checked)."""
+    """Arrow pattern from explicit Hermitian couplings (not positivity-checked).
+
+    ``t`` and ``r`` may be stacks ``(T, n, n)``, with ``couplings`` then of
+    shape ``(T, k - 1, n, n)``, giving a stack of members.
+    """
     t = np.asarray(t, dtype=complex)
     r = np.asarray(r, dtype=complex)
-    couplings = [np.asarray(s, dtype=complex) for s in couplings]
-    k = len(couplings) + 1
-    n = t.shape[0]
-    hub, spokes = (k - 1, range(k - 1)) if first else (0, range(1, k))
-    out = np.zeros((k * n, k * n), dtype=complex)
-
-    def block(i, j):
-        return slice(i * n, (i + 1) * n), slice(j * n, (j + 1) * n)
-
-    out[block(hub, hub)] = r if first else t
-    for i, s in zip(spokes, couplings):
-        out[block(i, i)] = t if first else r
-        out[block(i, hub)] = s
-        out[block(hub, i)] = s
+    lead, n = t.shape[:-2], t.shape[-1]
+    couplings = np.asarray(couplings, dtype=complex).reshape(lead + (-1, n, n))
+    k = couplings.shape[-3] + 1
+    hub, spokes = _arrow_strips(k, n, first)
+    out = np.zeros(lead + (k * n, k * n), dtype=complex)
+    out[..., hub, hub] = r if first else t
+    for i in range(k - 1):
+        spoke = slice(spokes.start + i * n, spokes.start + (i + 1) * n)
+        out[..., spoke, spoke] = t if first else r
+        out[..., spoke, hub] = couplings[..., i, :, :]
+        out[..., hub, spoke] = couplings[..., i, :, :]
     return out
 
 
@@ -135,13 +152,14 @@ def build_span3(a, b, c, pattern: str) -> np.ndarray:
 
     Positive exactly when [[|u|^2 A, |u||w| B], [|u||w| B, |w|^2 C]] is PSD
     and A, B, C are Hermitian (B Hermitian is what keeps each block inside
-    the complex span of the pattern).
+    the complex span of the pattern).  ``a``, ``b`` and ``c`` may be stacks
+    of matching length, giving a stack of members.
     """
     u, w = SPAN_FRAMES[pattern]
-    terms = [as_matrix(x) for x in (a, b, c)]
+    terms = [_as_stack(x) for x in (a, b, c)]
     frames = (np.outer(u, u), np.outer(u, w) + np.outer(w, u), np.outer(w, w))
-    rows, cols = terms[0].shape
-    out = np.empty((rows, 3, cols, 3), dtype=complex)
+    lead, (rows, cols) = terms[0].shape[:-2], terms[0].shape[-2:]
+    out = np.empty(lead + (rows, 3, cols, 3), dtype=complex)
     for live, frame in enumerate(frames):
         # The frames are 0/1 with disjoint supports, so each entry of the
         # kron sum has one live term; computing x * 1 + y * 0 + z * 0 in the
@@ -149,55 +167,104 @@ def build_span3(a, b, c, pattern: str) -> np.ndarray:
         weights = [1 + 0j if i == live else 0j for i in range(3)]
         tile = terms[0] * weights[0] + terms[1] * weights[1] + terms[2] * weights[2]
         for p, q in zip(*np.nonzero(frame)):
-            out[:, p, :, q] = tile
-    return out.reshape(3 * rows, 3 * cols)
+            out[..., :, p, :, q] = tile
+    return out.reshape(lead + (3 * rows, 3 * cols))
 
 
-def _gen_arrow(rng, n, k, tol, first):
-    """Couplings start Hermitian-projected and shrink until the exact test passes.
+def _gen_arrow(t, r, g, tol, first):
+    """Arrow stack from stacked draws: ``t``, ``r`` of shape ``(T, n, n)`` and
+    the unscaled couplings ``g`` of shape ``(T, k - 1, n, n)``.
 
-    Symmetrizing T^(1/2) G R^(1/2) can lose positivity, so rejection
-    halves the couplings; the block-diagonal limit is PSD, hence
-    termination.  The matrix is built once: each rejection halves the
-    hub's off-diagonal strips in place, which is exact in binary floating
-    point, so every attempt sees the matrix a rebuild from the halved
-    couplings would give.
+    Couplings start Hermitian-projected and shrink until the exact test
+    passes.  Symmetrizing T^(1/2) G R^(1/2) can lose positivity, so
+    rejection halves the couplings; the block-diagonal limit is PSD, hence
+    termination.  The stack is built once: each round tests the samples
+    still pending with one stacked ``is_psd`` and halves the hub strips of
+    the rejected ones in place, which is exact in binary floating point, so
+    every attempt sees the matrix a rebuild from the halved couplings would
+    give.
     """
-    if k < 2:
-        raise UnsupportedCombination("arrow families need at least 2 blocks")
-    t = random_psd(rng, n)
-    r = random_psd(rng, n)
-    rt, rr = sqrt_psd(t, tol), sqrt_psd(r, tol)
-    couplings = [
-        hermitian_part(rt @ random_contraction(rng, n, n) @ rr) / np.sqrt(k - 1)
-        for _ in range(k - 1)
-    ]
-    a = build_arrow(t, r, couplings, first)
-    hub = slice((k - 1) * n, k * n) if first else slice(0, n)
-    spokes = slice(0, (k - 1) * n) if first else slice(n, k * n)
+    count, k, n = len(t), g.shape[1] + 1, t.shape[-1]
+    roots = sqrt_psd(np.concatenate((t, r)), tol)
+    rt, rr = roots[:count, np.newaxis], roots[count:, np.newaxis]
+    a = build_arrow(t, r, hermitian_part(rt @ g @ rr) / np.sqrt(k - 1), first)
+    hub, spokes = _arrow_strips(k, n, first)
+    pending = np.arange(count)
     for _ in range(80):
-        if is_psd(a, tol):
+        rejected = [not res.ok for res in is_psd(a[pending], tol)]
+        pending = pending[rejected]
+        if not pending.size:
             return a
-        a[hub, spokes] /= 2
-        a[spokes, hub] /= 2
+        a[pending, hub, spokes] /= 2
+        a[pending, spokes, hub] /= 2
     raise NotPSD("arrow sample rejected repeatedly")  # pragma: no cover
 
 
-def _gen_span3(rng, k, name):
-    """Spectral shift on the compressed 2k x 2k matrix lands the draw in the cone."""
+def _gen_span3(a, b, c, name):
+    """Spectral shift on the compressed 2k x 2k matrices lands the draws in the cone."""
     u, w = SPAN_FRAMES[name]
     nu = float(u @ u)
     nw = float(w @ w)
-    a = random_hermitian(rng, k)
-    b = random_hermitian(rng, k)
-    c = random_hermitian(rng, k)
     cross = np.sqrt(nu * nw)
     compressed = np.block([[nu * a, cross * b], [cross * b, nw * c]])
-    lam = float(np.linalg.eigvalsh(hermitian_part(compressed))[0])
-    shift = max(0.0, 1e-6 - lam)
-    a = a + (shift / nu) * np.eye(k)
-    c = c + (shift / nw) * np.eye(k)
-    return build_span3(a, b, c, name)
+    lam = np.linalg.eigvalsh(hermitian_part(compressed))[:, 0]
+    shift = np.maximum(0.0, 1e-6 - lam)[:, np.newaxis, np.newaxis]
+    eye = np.eye(a.shape[-1])
+    return build_span3(a + (shift / nu) * eye, b, c + (shift / nw) * eye, name)
+
+
+def _block_count(family: str, block_count: int | None) -> int:
+    """Blocks per sample: fixed by the family, else ``block_count`` or the
+    family's default (3 arrow, 2 span blocks)."""
+    fixed = {"toeplitz2": 2, "subnormal3_i": 3, "subnormal3_ii": 3}
+    if family in fixed:
+        return fixed[family]
+    if block_count is not None:
+        return block_count
+    return 3 if family.startswith("arrow") else 2
+
+
+def _gen_samples(family: str, block_dim: int, seeds, tol: Tolerances = DEFAULT_TOL,
+                 block_count: int | None = None) -> list[StateFamilySample]:
+    """Seeded samples of one family, one per seed, generated as a stack.
+
+    Each sample draws from its own ``rng_from_seed(seed)`` in the order of
+    a lone sample.  The factorizations then run once over the stack: one
+    stacked ``eigh`` for the roots, one stacked SVD for the coupling norms
+    and one for the defects, one stacked ``eigvalsh`` for the span shifts
+    and one per arrow rejection round.  Each sample is bit-identical to the
+    one the same seed gives alone.
+    """
+    if block_count is not None and block_count < 1:
+        raise UnsupportedCombination(f"block_count must be positive, got {block_count}")
+    rngs = [rng_from_seed(seed) for seed in seeds]
+    k = _block_count(family, block_count)
+    n = block_dim
+    # each sampler call draws once from every generator in turn, so the
+    # calls below keep each generator's own draw order
+    if family == "toeplitz2":
+        matrices = build_toeplitz2(random_psd(rngs, n), random_contraction(rngs, n, n), tol)
+    elif family in ("subnormal3_i", "subnormal3_ii"):
+        t = random_psd(rngs, n)
+        g = np.stack([random_normal_contraction(rng, n) for rng in rngs])
+        matrices = build_subnormal3(t, g, coupling_first=family == "subnormal3_i", tol=tol)
+    elif family in ("arrow_first", "arrow_second"):
+        if k < 2:
+            raise UnsupportedCombination("arrow families need at least 2 blocks")
+        t, r = random_psd(rngs, n), random_psd(rngs, n)
+        g = random_contraction([rng for rng in rngs for _ in range(k - 1)], n, n)
+        matrices = _gen_arrow(t, r, g.reshape(len(rngs), k - 1, n, n), tol,
+                              first=family == "arrow_first")
+    elif family in SPAN_FRAMES:
+        if block_dim != 3:
+            raise UnsupportedCombination(f"{family} fixes block_dim = 3")
+        matrices = _gen_span3(random_hermitian(rngs, k), random_hermitian(rngs, k),
+                              random_hermitian(rngs, k), family)
+    else:
+        raise UnsupportedCombination(f"unknown family {family!r}")
+    return [StateFamilySample(family=family, matrix=m, block_dim=block_dim,
+                              block_count=k, seed=seed)
+            for m, seed in zip(matrices, seeds)]
 
 
 def gen_family(family: str, block_dim: int, seed: int,
@@ -209,31 +276,7 @@ def gen_family(family: str, block_dim: int, seed: int,
     the others fix it.  ``None`` selects the default size (3 arrow, 2 span
     blocks).  span families fix ``block_dim`` = 3.
     """
-    if block_count is not None and block_count < 1:
-        raise UnsupportedCombination(f"block_count must be positive, got {block_count}")
-    rng = rng_from_seed(seed)
-    if family == "toeplitz2":
-        matrix = build_toeplitz2(random_psd(rng, block_dim),
-                                 random_contraction(rng, block_dim, block_dim), tol)
-        k = 2
-    elif family in ("subnormal3_i", "subnormal3_ii"):
-        matrix = build_subnormal3(random_psd(rng, block_dim),
-                                  random_normal_contraction(rng, block_dim),
-                                  coupling_first=family == "subnormal3_i",
-                                  tol=tol)
-        k = 3
-    elif family in ("arrow_first", "arrow_second"):
-        k = 3 if block_count is None else block_count
-        matrix = _gen_arrow(rng, block_dim, k, tol, first=family == "arrow_first")
-    elif family in SPAN_FRAMES:
-        if block_dim != 3:
-            raise UnsupportedCombination(f"{family} fixes block_dim = 3")
-        k = 2 if block_count is None else block_count
-        matrix = _gen_span3(rng, k, family)
-    else:
-        raise UnsupportedCombination(f"unknown family {family!r}")
-    return StateFamilySample(family=family, matrix=matrix, block_dim=block_dim,
-                             block_count=k, seed=seed)
+    return _gen_samples(family, block_dim, [seed], tol, block_count)[0]
 
 
 @dataclass(frozen=True)
@@ -242,12 +285,22 @@ class WitnessCheck:
     min_eig: float
 
 
-def witness_check(phi: MatrixLinearMap, sample: StateFamilySample,
-                  tol: Tolerances = DEFAULT_TOL) -> WitnessCheck:
-    """Apply I_k (x) phi to the sample and test positivity of the output."""
-    out = apply_blockwise(phi, sample.matrix, sample.block_count)
-    res: PsdResult = is_psd(out, tol)
-    return WitnessCheck(passed=res.ok, min_eig=res.min_eigenvalue)
+def witness_check(phi: MatrixLinearMap, sample, tol: Tolerances = DEFAULT_TOL):
+    """Apply I_k (x) phi to the sample and test positivity of the output.
+
+    ``sample`` may also be a sequence of samples sharing one size and block
+    count, checked as a stack: one ``apply_blockwise`` and one stacked
+    ``is_psd`` give a list of checks, each equal to its sample's alone.
+    """
+    one = isinstance(sample, StateFamilySample)
+    batch = [sample] if one else list(sample)
+    block_counts = {s.block_count for s in batch}
+    if len(block_counts) != 1:
+        raise ValueError("a stack of samples needs one block count")
+    out = apply_blockwise(phi, np.stack([s.matrix for s in batch]), block_counts.pop())
+    checks = [WitnessCheck(passed=res.ok, min_eig=res.min_eigenvalue)
+              for res in is_psd(out, tol)]
+    return checks[0] if one else checks
 
 
 def bell_projector() -> np.ndarray:

@@ -64,6 +64,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def _as_stack(a, name: str = "matrix") -> np.ndarray:
+    """``as_matrix``, or a finite 3-D complex array: a stack of matrices."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 3:
+        return as_matrix(m, name)
+    if m.size and not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} stack contains non-finite entries")
+    return m
+
+
+def _check_square(a: np.ndarray) -> None:
+    if a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"square matrix required, got {a.shape}")
+
+
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
@@ -97,10 +112,26 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def _check_hermitian(a: np.ndarray, tol: Tolerances) -> None:
-    dev = frob(a - dagger(a))
-    if dev > tol.psd_tol * max(1.0, frob(a)):
+def _frobs(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, from one float dot per matrix."""
+    v = np.ascontiguousarray(a).view(float).reshape(len(a), 2 * a.shape[-2] * a.shape[-1])
+    return np.sqrt(np.einsum("ti,ti->t", v, v))
+
+
+def _hermitian_part_checked(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """``hermitian_part(a)``, after checking that ``a`` (each matrix of a
+    stack) is Hermitian within ``psd_tol`` relative to its Frobenius norm."""
+    adj = dagger(a)
+    if a.ndim == 2:
+        dev = frob(a - adj)
+        bad = dev > tol.psd_tol * max(1.0, frob(a))
+    else:
+        devs = _frobs(a - adj)
+        dev = devs.max(initial=0.0)
+        bad = bool((devs > tol.psd_tol * np.maximum(1.0, _frobs(a))).any())
+    if bad:
         raise NotHermitian(f"symmetry deviation {dev:.3e} exceeds tolerance")
+    return (a + adj) / 2
 
 
 def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
@@ -108,17 +139,18 @@ def herm_eig(a, tol: Tolerances = DEFAULT_TOL):
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues real and sorted
     in descending order, eigenvectors unitary columnwise, and
-    ``a = V diag(w) V*``.
+    ``a = V diag(w) V*``.  ``a`` may be a stack ``(T, N, N)``: one stacked
+    ``eigh`` then gives stacked results, each bit-identical to the call on
+    its matrix alone.
     """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got {a.shape}")
-    _check_hermitian(a, tol)
+    a = _as_stack(a)
+    _check_square(a)
+    h = _hermitian_part_checked(a, tol)
     try:
-        w, v = np.linalg.eigh(hermitian_part(a))
+        w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    return w[::-1].copy(), v[:, ::-1].copy()
+    return w[..., ::-1].copy(), v[..., ::-1].copy()
 
 
 def zero_level(scale: float, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -135,15 +167,20 @@ def sqrt_psd(a, tol: Tolerances = DEFAULT_TOL, cut: float = 0.0) -> np.ndarray:
     Eigenvalues in ``[-zero_level(||a||), 0)`` are rounding noise and clamp
     to zero, as do positive ones up to ``cut`` (default none: a matrix's own
     scale cannot tell a small eigenvalue from noise); anything more
-    negative raises ``NotPSD``.
+    negative raises ``NotPSD``.  ``a`` may be a stack ``(T, N, N)``, rooted
+    through one stacked ``herm_eig``; each root is bit-identical to the
+    root of its matrix alone.
     """
-    a = as_matrix(a)
     w, v = herm_eig(a, tol)
-    floor = -zero_level(max(1.0, np.abs(w).max(initial=0.0)), tol)
-    if w.size and w.min() < floor:
-        raise NotPSD(f"eigenvalue {w.min():.3e} below tolerance {floor:.3e}")
+    if w.shape[-1]:
+        floor = -zero_level(np.maximum(1.0, np.abs(w).max(axis=-1)), tol)
+        low = w[..., -1]
+        bad = np.flatnonzero(low < floor)
+        if bad.size:
+            i = np.unravel_index(bad[0], low.shape)
+            raise NotPSD(f"eigenvalue {low[i]:.3e} below tolerance {floor[i]:.3e}")
     w = np.where(w <= cut, 0.0, w)
-    return hermitian_part((v * np.sqrt(w)) @ dagger(v))
+    return hermitian_part((v * np.sqrt(w)[..., np.newaxis, :]) @ dagger(v))
 
 
 def rank_rcond(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> float:
@@ -186,16 +223,21 @@ def pinv(a, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> np.ndarray:
     return _pinv_rank(a, rank_rcond(a, tol, atol))[0]
 
 
-def is_psd(a, tol: Tolerances = DEFAULT_TOL) -> PsdResult:
-    """Positivity test; reports the minimum eigenvalue either way."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"square matrix required, got {a.shape}")
-    _check_hermitian(a, tol)
-    w = np.linalg.eigvalsh(hermitian_part(a))
-    min_eig = float(w[0]) if w.size else 0.0
-    scale = max(float(np.abs(w).max()) if w.size else 0.0, 1.0)
-    return PsdResult(ok=min_eig >= -zero_level(scale, tol), min_eigenvalue=min_eig)
+def is_psd(a, tol: Tolerances = DEFAULT_TOL):
+    """Positivity test; reports the minimum eigenvalue either way.
+
+    ``a`` may be a stack ``(T, N, N)``: one stacked ``eigvalsh`` then gives
+    a list of ``T`` results, each equal to the result for its matrix alone.
+    """
+    a = _as_stack(a)
+    _check_square(a)
+    w = np.linalg.eigvalsh(_hermitian_part_checked(a, tol))
+    if not w.shape[-1]:
+        w = np.zeros(w.shape[:-1] + (1,))
+    min_eig = np.atleast_1d(w[..., 0])
+    ok = min_eig >= -zero_level(np.maximum(np.abs(w).max(axis=-1), 1.0), tol)
+    results = [PsdResult(ok=o, min_eigenvalue=m) for o, m in zip(ok.tolist(), min_eig.tolist())]
+    return results if a.ndim == 3 else results[0]
 
 
 def kron(a, b) -> np.ndarray:

@@ -17,7 +17,15 @@ import numpy as np
 
 from .contraction import defects
 from .errors import DimensionMismatch, NotUnital, UnknownName
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger, hermitian_part, opnorm
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    _as_stack,
+    as_matrix,
+    dagger,
+    hermitian_part,
+    opnorm,
+)
 from .sampling import (
     random_contraction,
     random_hermitian,
@@ -164,16 +172,22 @@ def apply_blockwise(phi: MatrixLinearMap, a, block_count: int) -> np.ndarray:
     at once; a second reshape puts them back as m x m blocks.  The matmul
     may sum a row's terms in another order than ``phi.apply`` does, so the
     two can differ in the last bits where a row has three or more nonzero
-    terms (the reduction map from dimension 4 up).
+    terms (the reduction map from dimension 4 up).  ``a`` may be a stack
+    ``(T, kn, kn)``: the 3-D matmul then takes one product of the 2-D
+    call's shape per matrix, so each output is bit-identical to the call
+    on its matrix alone.
     """
-    a = as_matrix(a)
+    a = _as_stack(a)
     k, n, m = block_count, phi.in_dim, phi.out_dim
-    if a.shape != (k * n, k * n):
+    if a.shape[-2:] != (k * n, k * n):
         raise DimensionMismatch(
             f"expected {k}x{k} blocks of side {n}, got matrix shape {a.shape}")
-    v = a.reshape(k, n, k, n).transpose(0, 2, 3, 1).reshape(k * k, n * n)
-    out = v @ phi.action.T
-    return out.reshape(k, k, m, m).transpose(0, 3, 1, 2).reshape(k * m, k * m)
+    lead = a.shape[:-2]
+    d = len(lead)
+    v = a.reshape(lead + (k, n, k, n)).transpose(*range(d), d, d + 2, d + 3, d + 1)
+    out = v.reshape(lead + (k * k, n * n)) @ phi.action.T
+    out = out.reshape(lead + (k, k, m, m)).transpose(*range(d), d, d + 3, d + 1, d + 2)
+    return out.reshape(lead + (k * m, k * m))
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,50 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def complex_gaussian(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
+def _generators(rng) -> tuple[list[np.random.Generator], bool]:
+    """``rng`` as a list of generators, and whether it was a single one."""
+    one = isinstance(rng, np.random.Generator)
+    return ([rng] if one else list(rng)), one
+
+
+def _complex(parts: np.ndarray) -> np.ndarray:
+    """Complex Gaussians from stacked real and imaginary standard normals."""
+    return (parts[0] + 1j * parts[1]) / np.sqrt(2)
+
+
+def complex_gaussian(rng, rows: int, cols: int) -> np.ndarray:
+    """Standard complex Gaussian matrix.
+
+    ``rng`` may also be a sequence of generators (one may recur): each
+    draws one matrix in turn, giving a ``(T, rows, cols)`` stack that holds
+    exactly the matrices the draws one at a time would give.
+    ``random_contraction``, ``random_hermitian`` and ``random_psd`` take
+    such sequences too.
+    """
+    rngs, one = _generators(rng)
+    parts = np.empty((2, len(rngs), rows, cols))
+    for i, r in enumerate(rngs):
+        r.standard_normal(out=parts[0, i])
+        r.standard_normal(out=parts[1, i])
+    g = _complex(parts)
+    return g[0] if one else g
 
 
 def random_contraction(rng, rows: int, cols: int, spectral_norm: float | None = None) -> np.ndarray:
-    """Gaussian matrix rescaled to the requested operator norm (< 1 if omitted)."""
-    g = complex_gaussian(rng, rows, cols)
-    target = rng.uniform(0.1, 1.0) if spectral_norm is None else spectral_norm
-    return g * (target / np.linalg.norm(g, 2))
+    """Gaussian matrix rescaled to the requested operator norm (< 1 if omitted).
+
+    For a sequence of generators, one stacked SVD gives all the norms.
+    """
+    rngs, one = _generators(rng)
+    parts = np.empty((2, len(rngs), rows, cols))
+    target = np.empty(len(rngs))
+    for i, r in enumerate(rngs):
+        r.standard_normal(out=parts[0, i])
+        r.standard_normal(out=parts[1, i])
+        target[i] = r.uniform(0.1, 1.0) if spectral_norm is None else spectral_norm
+    g = _complex(parts)
+    g *= (target / np.linalg.svd(g, compute_uv=False)[:, 0])[:, np.newaxis, np.newaxis]
+    return g[0] if one else g
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

@@ -449,10 +449,23 @@ def _chol_step(root, rk, gammas, pairs, chol) -> np.ndarray:
     ])
 
 
+def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
+    """Frobenius bound on ``rebuild - a`` for a round-trip within recon_tol.
+
+    The psd gate admits eigenvalues down to ``-zero_level(scale)`` and a
+    psd rebuild is PSD, so it may also differ by that clamped part.
+    """
+    scale = max(1.0, frob(a))
+    bound = tol.recon_tol * scale
+    if psd:
+        bound += np.sqrt(a.shape[0]) * zero_level(scale, tol)
+    return bound
+
+
 def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveSCParams:
     """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
     singular values up to ``sqrt(cut)`` counting as zero; a cut can drop a real
-    coupling, so then the result must rebuild ``a`` within recon_tol."""
+    coupling, so then the result must rebuild ``a`` within ``_recon_bound``."""
     dims = shape.row_dims
     n = len(dims)
     off = _offsets(dims)
@@ -472,7 +485,7 @@ def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveS
         if k:  # the factor of the whole matrix is not needed
             chol = _chol_step(roots[k], rk, gammas, pairs, chol)
     params = PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
-    if cut and frob(psd_reconstruct(params, tol) - a) > tol.recon_tol * max(1.0, frob(a)):
+    if cut and frob(psd_reconstruct(params, tol) - a) > _recon_bound(a, tol, psd=True):
         raise NoFactor("round-trip error above recon_tol after the rank cut")
     return params
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,8 +8,8 @@ import pytest
 
 from schur_dilate import cli, serialize
 from schur_dilate.cli import main
-from schur_dilate.linalg import unitarity_deviation
-from schur_dilate.sampling import complex_gaussian, rng_from_seed
+from schur_dilate.linalg import dagger, unitarity_deviation
+from schur_dilate.sampling import complex_gaussian, random_contraction, rng_from_seed
 
 
 def write_matrix(path, a):
@@ -359,3 +360,63 @@ def test_witness_zero_trials_exits_1(tmp_path, capsys, family):
     assert code == 1
     assert err.startswith("error: ")
     assert not out.exists()
+
+
+def test_one_process_runs_every_command_as_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; commands with different flags
+    # run in turn must not see each other's arguments
+    rng = rng_from_seed(5)
+    g = complex_gaussian(rng, 6, 4)
+    write_matrix(tmp_path / "a.json", dagger(g) @ g)
+    write_matrix(tmp_path / "t.json", random_contraction(rng, 2, 4))
+    serialize.dump({"in_dim": 2, "out_dim": 2,
+                    "kraus": [serialize.matrix_to_obj(np.array([[1.0, 0.0], [0.0, 0.8]])),
+                              serialize.matrix_to_obj(np.array([[0.0, 0.6], [0.0, 0.0]]))]},
+                   tmp_path / "ch.json")
+    serialize.dump({"dim": 2, "vectors": [[[1.0, 0.0], [0.0, 0.0]],
+                                          [[0.0, 0.0], [1.0, 0.0]]]}, tmp_path / "povm.json")
+
+    def runs(out):
+        return [
+            ["param", "--kind", "psd", "--shape", "2+2", "--in", str(tmp_path / "a.json"),
+             "--out", str(out / "p1.json"), "--reconstruct"],
+            ["witness", "--family", "arrow_second", "--witness", "choi3", "--trials", "4",
+             "--seed", "3", "--blocks", "4", "--out", str(out / "w1.jsonl")],
+            ["dilate", "--channel", str(tmp_path / "ch.json"), "--simulate", "5", "--seed", "2",
+             "--pad", "3", "--out", str(out / "u1.json")],
+            ["param", "--kind", "row", "--shape", "1+3", "--in", str(tmp_path / "t.json"),
+             "--out", str(out / "p2.json")],
+            ["dilate", "--povm", str(tmp_path / "povm.json"), "--out", str(out / "u2.json")],
+            ["witness", "--family", "toeplitz2", "--witness", "transpose", "--trials", "3",
+             "--seed", "1", "--block-dim", "2"],
+        ]
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    names = ["p1.json", "w1.jsonl", "u1.json", "p2.json", "u2.json"]
+    for tag in ("mem", "fresh"):
+        (tmp_path / tag).mkdir()
+    for argv, fresh in zip(runs(tmp_path / "mem"), runs(tmp_path / "fresh")):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "schur_dilate.cli", *fresh],
+                              env=env, capture_output=True, text=True)
+        assert code == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+    for name in names:
+        assert (tmp_path / "mem" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_usage_errors_exit_2_from_the_cached_parser(tmp_path, capsys):
+    povm = ["dilate", "--povm", str(tmp_path / "povm.json"), "--out", str(tmp_path / "u.json")]
+    channel = ["dilate", "--channel", str(tmp_path / "ch.json"), "--out", str(tmp_path / "u.json")]
+    for _ in range(2):
+        for argv in ([*povm, "--pad", "3"], [*channel, "--simulate", "3"],
+                     ["witness", "--family", "toeplitz2"], ["nonsense"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err
+    code, stdout, _ = run_cli(capsys, "witness", "--family", "bell-control",
+                              "--witness", "transpose", "--seed", "0")
+    assert code == 2
+    assert json.loads(stdout.splitlines()[-1])["worst_min_eig"] == pytest.approx(-0.5)

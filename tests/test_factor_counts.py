@@ -8,9 +8,10 @@ SVD.  ``eigh`` is left to the positive roots of diagonal blocks.  The
 pseudoinverses are SVDs of their own, so extraction gates count ``svd``,
 ``pinv`` and ``norm2`` together.  The counts below are ceilings on the
 benchmark self-test's inputs; the inequality suite runs ten trials of the
-transpose witness.  The witness harness applies I_k (x) phi
-as one matmul and tests positivity with one ``eigvalsh``; arrow samples are
-built once, without ``np.block``.  Both dilations complete an isometry, whose
+transpose witness.  The witness harness generates and checks its trials
+as a stack: one stacked factorization per generation stage, one matmul per
+sample for I_k (x) phi and one stacked ``eigvalsh`` for the check; arrow
+samples are built once, without ``np.block``.  Both dilations complete an isometry, whose
 Julia unitary needs no factorization at all.
 """
 
@@ -149,15 +150,21 @@ def test_inequality_suite_counts(counts):
     phi = maps.builtin_witness("transpose", dim=3)
     counts.clear()
     maps.positivity_inequality_suite(phi, trials=10, seed=0)
-    # one SVD per trial gives both defects of the normal contraction
-    assert counts["svd"] == 10
+    # per trial, one SVD for the norm of the random contraction and one
+    # for both defects of the normal contraction
+    assert counts["svd"] == 20
+
+
+ARROW_SEEDS = range(1, 21)
 
 
 def test_witness_check_counts(counts):
     phi = maps.builtin_witness("choi3", dim=3)
-    sample = families.gen_family("span3_1", 3, seed=0, block_count=16)
+    samples = families._gen_samples("arrow_first", 3, ARROW_SEEDS, block_count=8)
     counts.clear()
-    families.witness_check(phi, sample)
+    checks = families.witness_check(phi, samples)
+    # the whole 20-stack: one matmul per sample, one stacked eigvalsh
+    assert len(checks) == 20
     assert counts["apply"] == 0
     assert counts["eigvalsh"] == 1
 
@@ -165,7 +172,13 @@ def test_witness_check_counts(counts):
 @pytest.mark.parametrize("family", ["arrow_first", "arrow_second"])
 def test_arrow_generation_counts(counts, family):
     counts.clear()
-    families.gen_family(family, 3, seed=1, block_count=8)
-    # seed 1 is rejected three times before it is accepted
+    families._gen_samples(family, 3, ARROW_SEEDS, block_count=8)
+    # one stacked eigvalsh per rejection round; seed 1, rejected three
+    # times, is the last one accepted
     assert counts["eigvalsh"] == 4
+    # the roots of T and R from one stacked eigh, the norms of all 140
+    # couplings from one stacked SVD
+    assert counts["eigh"] <= 2
+    assert counts["svd"] <= 1
+    assert counts["norm2"] == 0
     assert counts["block"] == 0

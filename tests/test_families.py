@@ -131,7 +131,8 @@ def test_span3_samples_equal_kron_sum_bitwise(monkeypatch, family):
     monkeypatch.setattr(families, "build_span3", recording)
     for seed in range(60):
         sample = gen_family(family, 3, seed, block_count=1 + seed % 6)
-        assert sample.matrix.tobytes() == span3_by_kron(*drawn[-1]).tobytes()
+        a, b, c, pattern = drawn[-1]  # stacks of one: the sample's terms
+        assert sample.matrix.tobytes() == span3_by_kron(a[0], b[0], c[0], pattern).tobytes()
 
 
 @pytest.mark.parametrize("pattern", sorted(SPAN_FRAMES))

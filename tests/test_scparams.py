@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schur_dilate import scparams
 from schur_dilate.contraction import defect, defect_star, julia
 from schur_dilate.errors import NoFactor, NotPSD, NotUnitary, ShapeUnsupported
 from schur_dilate.linalg import Tolerances, dagger, is_psd, kron, opnorm
@@ -343,6 +344,23 @@ def test_psd_scalar_forced_gamma():
     chol = psd_cholesky(params)
     np.testing.assert_allclose(
         chol, [[1.0, gamma], [0.0, np.sqrt(1 - gamma ** 2)]], atol=1e-12)
+
+
+def test_psd_cut_pass_accepts_a_clamped_negative_eigenvalue(monkeypatch):
+    # the cut pass rebuilds diag(1, 0) from diag(1, -1e-6), a difference the
+    # psd gate admits at psd_tol = 1e-4, so the uncut pass never runs
+    calls = []
+    extract = scparams._psd_extract
+
+    def counting(*args):
+        calls.append(args[2])
+        return extract(*args)
+
+    monkeypatch.setattr(scparams, "_psd_extract", counting)
+    tol = Tolerances(psd_tol=1e-4)
+    params = psd_parametrize(np.diag([1.0, -1e-6]), BlockShape((1, 1), (1, 1)), tol)
+    assert calls == [1e-4]
+    np.testing.assert_array_equal(psd_reconstruct(params, tol), np.diag([1.0, 0.0]))
 
 
 def test_psd_roundtrip_random():
