@@ -131,6 +131,8 @@ def _load_freedom(path):
 
 
 def cmd_dilate(args, tol: Tolerances) -> int:
+    if args.simulate is not None and args.simulate < 1:
+        raise ValueError(f"--simulate must be positive, got {args.simulate}")
     freedom = _load_freedom(args.freedom) if args.freedom else None
     if args.povm:
         povm = serialize.povm_from_obj(serialize.load(args.povm), tol)
@@ -179,6 +181,8 @@ def _witness_chunks(args, tol: Tolerances):
 def cmd_witness(args, tol: Tolerances) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if args.block_dim < 1 and args.family not in CONTROL_FAMILIES:
+        raise ValueError(f"--block-dim must be positive, got {args.block_dim}")
     lines = [_emit({"schur_dilate_version": __version__})]
     if args.family in CONTROL_FAMILIES:
         # control fixtures carry their own dimension; --block-dim is ignored

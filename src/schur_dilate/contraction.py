@@ -177,12 +177,49 @@ def _solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
     return g
 
 
+def _damped_solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Contraction ``Y X* (X X* + lam I)^+`` for a solve ``Y X^+`` that
+    overshoots norm one beyond the clip slack.
+
+    Along a direction where X has a small singular value sigma, ``Y X^+``
+    divides the rounding of X and Y by sigma; chained products of defects
+    near zero (parameters with singular values near 1) turn rounding-level
+    errors into a norm overshoot far beyond the slack, though a contraction
+    reproduces Y to rounding.  Damping by ``lam`` scales the component of
+    direction i by ``sigma_i^2 / (sigma_i^2 + lam)``, so it shrinks the weak
+    directions first, where a change costs little residual.  The norm falls
+    monotonically in ``lam``; bisection finds the least ``lam`` with norm at
+    most 1.  Raises ``NoFactor`` unless that factor reproduces Y within
+    ``CLIP_SLACK`` relative to ``||Y||_F``, so an overshoot that only the
+    strong directions of X could absorb still fails.
+    """
+    try:
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergence(str(exc)) from exc
+    keep = int((s > rank_rcond(x, tol, _solve_atol(x, tol)) * s[0]).sum())
+    u, s, b = u[:, :keep], s[:keep], y @ dagger(vh[:keep])
+    lo, hi = 0.0, frob(y) ** 2 / 4  # sigma / (sigma^2 + lam) <= 1 / (2 sqrt(lam))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if opnorm(b * (s / (s * s + mid))) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    g = (b * (s / (s * s + hi))) @ dagger(u)
+    residual = frob(g @ x - y)
+    if residual > CLIP_SLACK * frob(y):
+        raise NoFactor(f"Y*Y <= X*X fails: no contraction within slack, residual {residual:.3e}")
+    return g
+
+
 def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Contraction Gamma with Gamma X = Y, given Y*Y <= X*X.
 
     Gamma = Y X^+ vanishes on the orthogonal complement of the range of X.
-    Raises ``NoFactor`` when no contractive factor exists (the solve leaves
-    a residual, or its norm exceeds 1 beyond slack).
+    A norm beyond the clip slack falls back to ``_damped_solve``.  Raises
+    ``NoFactor`` when no contractive factor exists (the solve leaves a
+    residual, or no contraction reproduces Y within slack).
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -191,13 +228,20 @@ def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     g = _solve(x, y, tol)
     try:
         return clip_to_contraction(g)
-    except NotContraction as exc:
-        raise NoFactor(str(exc)) from exc
+    except NotContraction:
+        return clip_to_contraction(_damped_solve(x, y, tol))
 
 
 def solve_left_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Contraction Gamma with X Gamma = Y, the mirror-image solve."""
     return dagger(solve_contraction_factor(dagger(as_matrix(x)), dagger(as_matrix(y)), tol))
+
+
+def _full_svd(g: np.ndarray):
+    try:
+        return np.linalg.svd(g)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
@@ -208,16 +252,15 @@ def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
     internal arrays, so without their input checks: one SVD gives the
     pseudoinverse of ``dacc``, and one full SVD of Gamma gives the norm
     test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
-    both defects of the clipped Gamma.
+    both defects of the clipped Gamma.  A norm beyond the slack falls back
+    to ``_damped_solve``, as in ``solve_contraction_factor``.
     """
     g = dagger(_solve(dagger(dacc), dagger(blk), tol))
-    try:
-        u, s, vh = np.linalg.svd(g)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    u, s, vh = _full_svd(g)
+    if s[0] > 1.0 + CLIP_SLACK:
+        g = dagger(_damped_solve(dagger(dacc), dagger(blk), tol))
+        u, s, vh = _full_svd(g)
     if s[0] > 1.0:
-        if s[0] > 1.0 + CLIP_SLACK:
-            raise NoFactor(f"operator norm {s[0]:.12e} exceeds 1 + {CLIP_SLACK:.1e}")
         s = np.minimum(s, 1.0)
         g = (u[:, :s.size] * s) @ vh[:s.size]
     return g, _defect_pair(u, s, vh, tol)

@@ -29,8 +29,11 @@ parametrizations pay two SVDs per extracted gamma, one stacked SVD per
 rebuild: extraction takes one SVD for the pseudoinverse solve and one of the
 gamma, which also decides its clip; a rebuild knows all its gammas up front
 and takes their defects from one stacked SVD (one per distinct gamma
-shape).  The triangular factors chain these pairs as prefix products.  The
-unitary split reassembles through ``julia_block`` and ``with_freedom``.
+shape).  One walk over a row of gammas and their defect pairs gives the
+row contraction ``T`` and both its natural defect factors, the block
+lower-triangular ``F`` (F F* = I - T*T) and ``M = D_{G_1*} ... D_{G_n*}``
+(M M* = I - T T*), at four products per gamma.  The unitary split
+reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -187,6 +190,8 @@ class PositiveSCParams:
 
     def row_contraction(self, k: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         """Row contraction R_k rebuilt from the parameters right of block k."""
+        if not 0 <= k < len(self.dims) - 1:
+            raise IndexError(f"need 0 <= k < {len(self.dims) - 1}, got {k}")
         return row_reconstruct(
             RowColParams(
                 "row",
@@ -237,14 +242,32 @@ def _defect_grid(rows, tol: Tolerances) -> list[list[DefectPair]]:
     return [[next(it) for _ in row] for row in rows]
 
 
-def _row_build(gammas, pairs, h: int) -> np.ndarray:
-    """Row contraction from its gammas and their defect pairs."""
-    dacc = np.eye(h, dtype=complex)
-    blocks = []
-    for g, pair in zip(gammas, pairs):
-        blocks.append(dacc @ g)
-        dacc = dacc @ pair.d_t_star
-    return np.hstack(blocks)
+def _row_walk(gammas, pairs, h: int):
+    """Row contraction T and its natural defect factors (F, M), one pass.
+
+    ``F`` is block lower-triangular with F F* = I - T*T: D_{G_i} on the
+    diagonal, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j below it; and
+    ``M = D_{G_1*} ... D_{G_n*}`` has M M* = I - T T*.  The walk keeps the
+    running row ``w = [D_{G_{i-1}*} ... D_{G_{j+1}*} G_j]_{j<i}`` and ``M``
+    so far, so each gamma costs four products and no factorization:
+    ``T_i = M G_i``, ``F_{i,<i} = -G_i* w``, ``w <- [D_{G_i*} w, G_i]`` and
+    ``M <- M D_{G_i*}``.  ``pairs[i]`` holds the defects of ``G_i``.  For a
+    column contraction C, the walk of its row adjoint C* gives F F* = I - C C*.
+    """
+    off = _offsets([g.shape[1] for g in gammas])
+    t = np.empty((h, off[-1]), dtype=complex)
+    f = np.zeros((off[-1], off[-1]), dtype=complex)
+    w = np.empty((h, off[-1]), dtype=complex)
+    m = np.eye(h, dtype=complex)
+    for i, (g, pair) in enumerate(zip(gammas, pairs)):
+        a, b = off[i], off[i + 1]
+        t[:, a:b] = m @ g
+        f[a:b, :a] = -dagger(g) @ w[:, :a]
+        f[a:b, a:b] = pair.d_t
+        w[:, :a] = pair.d_t_star @ w[:, :a]
+        w[:, a:b] = g
+        m = m @ pair.d_t_star
+    return t, f, m
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -261,7 +284,7 @@ def row_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.n
     if params.orientation != "row":
         raise ValueError("row_reconstruct needs row-oriented parameters")
     gammas = params.gammas
-    return _row_build(gammas, _defect_grid([gammas], tol)[0], params.shape.rows)
+    return _row_walk(gammas, _defect_grid([gammas], tol)[0], params.shape.rows)[0]
 
 
 def _adjoints(gammas) -> list[np.ndarray]:
@@ -286,46 +309,21 @@ def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.n
     if params.orientation != "column":
         raise ValueError("col_reconstruct needs column-oriented parameters")
     gammas = _adjoints(params.gammas)
-    return dagger(_row_build(gammas, _defect_grid([gammas], tol)[0], params.shape.cols))
-
-
-def _row_lower_factor(gammas, pairs) -> np.ndarray:
-    """Block lower-triangular F with F F* = I - T*T for a row contraction.
-
-    Diagonal blocks are D_{G_i}; below the diagonal sits
-    -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j.  ``pairs[k]`` holds the
-    defects of G_k, so each block column is one walk of prefix products
-    and the factor costs no factorization of its own.  For a column
-    contraction C the factor of its row adjoint C* satisfies F F* = I - C C*.
-    """
-    off = _offsets([g.shape[1] for g in gammas])
-    neg_adjoints = [-dagger(g) for g in gammas]
-    f = np.zeros((off[-1], off[-1]), dtype=complex)
-    for j, gj in enumerate(gammas):
-        f[off[j]:off[j + 1], off[j]:off[j + 1]] = pairs[j].d_t
-        acc = gj
-        for i in range(j + 1, len(gammas)):
-            f[off[i]:off[i + 1], off[j]:off[j + 1]] = neg_adjoints[i] @ acc
-            acc = pairs[i].d_t_star @ acc
-    return f
+    return dagger(_row_walk(gammas, _defect_grid([gammas], tol)[0], params.shape.cols)[0])
 
 
 def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
     """Natural factors (F, M) with F F* = I - T*T and M M* = I - T T*.
 
     For row parameters F is block lower-triangular and M = D_{G_1*} ...
-    D_{G_n*} is the plain product of codomain defects; column parameters
+    D_{G_n*} is the plain product of codomain defects; one walk over the
+    gammas gives T, F and M at four products per gamma.  Column parameters
     are the row parameters of T*, so the two factors swap roles.
     """
-    gs = params.gammas
-    if params.orientation == "column":
-        gs = _adjoints(gs)
-    pairs = _defect_grid([gs], tol)[0]
-    product = np.eye(gs[0].shape[0], dtype=complex)
-    for pair in pairs:
-        product = product @ pair.d_t_star
-    lower = _row_lower_factor(gs, pairs)
-    return (lower, product) if params.orientation == "row" else (product, lower)
+    row = params.orientation == "row"
+    gs = params.gammas if row else _adjoints(params.gammas)
+    _, lower, product = _row_walk(gs, _defect_grid([gs], tol)[0], gs[0].shape[0])
+    return (lower, product) if row else (product, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +347,7 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
         gammas, pairs = _row_extract(dagger(ck), shape.row_dims, tol)
         per_column.append(_adjoints(gammas))
         if k + 1 < ncols:  # no block column left to solve
-            dacc = dacc @ _row_lower_factor(gammas, pairs)
+            dacc = dacc @ _row_walk(gammas, pairs, shape.col_dims[k])[1]
     grid = tuple(
         tuple(per_column[j][i] for j in range(ncols))
         for i in range(len(shape.row_dims))
@@ -365,10 +363,10 @@ def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAUL
     dacc = np.eye(shape.rows, dtype=complex)
     cols = []
     for j, d in enumerate(shape.col_dims):
-        gammas, pairs = columns[j], column_pairs[j]
-        cols.append(dacc @ dagger(_row_build(gammas, pairs, d)))
+        t, f, _ = _row_walk(columns[j], column_pairs[j], d)
+        cols.append(dacc @ dagger(t))
         if j + 1 < ncols:  # no block column left to build
-            dacc = dacc @ _row_lower_factor(gammas, pairs)
+            dacc = dacc @ f
     return np.hstack(cols)
 
 
@@ -440,9 +438,9 @@ def unitary_reassemble(g1, g2, g3, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # positive block matrices
 
 
-def _chol_step(root, rk, gammas, pairs, chol) -> np.ndarray:
-    """Extend the Cholesky factor of a trailing corner by one block row above."""
-    f = _row_lower_factor(gammas, pairs)
+def _chol_step(root, rk, f, chol) -> np.ndarray:
+    """Extend the Cholesky factor of a trailing corner by one block row above,
+    given the row contraction ``rk`` and its lower defect factor ``f``."""
     return np.block([
         [root, rk @ chol],
         [np.zeros((chol.shape[0], root.shape[1])), dagger(f) @ chol],
@@ -483,7 +481,7 @@ def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveS
             raise NoFactor(str(exc)) from exc
         gamma_rows[k] = tuple(gammas)
         if k:  # the factor of the whole matrix is not needed
-            chol = _chol_step(roots[k], rk, gammas, pairs, chol)
+            chol = _chol_step(roots[k], rk, _row_walk(gammas, pairs, dims[k])[1], chol)
     params = PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
     if cut and frob(psd_reconstruct(params, tol) - a) > _recon_bound(a, tol, psd=True):
         raise NoFactor("round-trip error above recon_tol after the rank cut")
@@ -524,9 +522,8 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     row_pairs = _defect_grid(params.gammas, tol)
     chol = np.array(params.diag_roots[n - 1])
     for k in range(n - 2, -1, -1):
-        gammas, pairs = params.gammas[k], row_pairs[k]
-        rk = _row_build(gammas, pairs, dims[k])
-        chol = _chol_step(params.diag_roots[k], rk, gammas, pairs, chol)
+        rk, f, _ = _row_walk(params.gammas[k], row_pairs[k], dims[k])
+        chol = _chol_step(params.diag_roots[k], rk, f, chol)
     return chol
 
 

@@ -362,6 +362,41 @@ def test_witness_zero_trials_exits_1(tmp_path, capsys, family):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block_dim", ["0", "-2"])
+def test_witness_nonpositive_block_dim_exits_1(tmp_path, capsys, block_dim):
+    out = tmp_path / "r.jsonl"
+    code, stdout, err = run_cli(capsys, "witness", "--family", "toeplitz2",
+                                "--witness", "transpose", "--trials", "2", "--seed", "0",
+                                "--block-dim", block_dim, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --block-dim must be positive, got {block_dim}\n"
+    assert not out.exists()
+
+
+def test_witness_control_family_ignores_block_dim(capsys):
+    plain = run_cli(capsys, "witness", "--family", "bell-control",
+                    "--witness", "transpose", "--trials", "1", "--seed", "0")
+    zero = run_cli(capsys, "witness", "--family", "bell-control", "--witness",
+                   "transpose", "--trials", "1", "--seed", "0", "--block-dim", "0")
+    assert zero == plain
+    assert plain[0] == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_dilate_nonpositive_simulate_exits_1(tmp_path, capsys, count):
+    ch_file = tmp_path / "ch.json"
+    out = tmp_path / "u.json"
+    serialize.dump({"in_dim": 2, "out_dim": 2,
+                    "kraus": [serialize.matrix_to_obj(np.eye(2))]}, ch_file)
+    code, stdout, err = run_cli(capsys, "dilate", "--channel", str(ch_file),
+                                "--simulate", count, "--seed", "1", "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --simulate must be positive, got {count}\n"
+    assert not out.exists()
+
+
 def test_one_process_runs_every_command_as_fresh_processes(tmp_path, capsys):
     # the parser is built once per process; commands with different flags
     # run in turn must not see each other's arguments

@@ -150,6 +150,23 @@ def test_solve_factor_drops_noise_directions():
     np.testing.assert_allclose(g, np.diag([0.5, 0.0]), atol=1e-12)
 
 
+def test_solve_factor_damps_overshoot_along_weak_direction():
+    # Y X^+ = [0.8, 0.6 (1 + 1.3e-7)] overshoots norm one by 4.7e-8, beyond
+    # the clip slack, but only along the 5e-5 direction of X: damping it
+    # gives a contraction that reproduces Y to 4e-12.
+    x = np.diag([1.0, 5e-5]).astype(complex)
+    y = np.array([[0.8, 5e-5 * 0.6 * (1 + 1.3e-7)]], dtype=complex)
+    assert opnorm(y @ np.linalg.pinv(x)) > 1.0 + 10 * CLIP_SLACK
+    g = solve_contraction_factor(x, y)
+    assert opnorm(g) <= 1.0
+    assert np.linalg.norm(g @ x - y) <= 1e-11
+    np.testing.assert_allclose(g, [[0.8, 0.6]], atol=1e-6)
+    assert same_bits(_gamma_step(dagger(x), dagger(y), Tolerances())[0], dagger(g))
+    # an overshoot that only the unit direction can absorb moves Y beyond the slack
+    with pytest.raises(NoFactor):
+        solve_contraction_factor(x, np.array([[1.0 + 1e-7, 0.0]]))
+
+
 def test_solves_keep_small_directions_under_loose_tolerance():
     # Dropping a direction costs up to its singular value in residual, so a
     # loose psd_tol must not drop what the residual check cannot absorb.

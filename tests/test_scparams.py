@@ -16,6 +16,7 @@ from schur_dilate.sampling import (
 from schur_dilate.scparams import (
     BlockShape,
     MatrixContractionParams,
+    PositiveSCParams,
     RowColParams,
     col_parametrize,
     col_reconstruct,
@@ -225,6 +226,28 @@ def test_matrix_roundtrip_random():
         assert all(opnorm(g) <= 1 + 1e-9 for row in params.gammas for g in row)
 
 
+def test_matrix_roundtrip_parameters_near_one():
+    # Gammas of singular values 0, 1 or interior: the extracted parameters
+    # reach 1 - 2.4e-5, whose small defects chain into a block column solve
+    # with a 5e-5 direction.  Rounding of t amplified along it took the
+    # plain solve to norm 1 + 3.6e-9 (NoFactor); the damped solve keeps it.
+    rng = rng_from_seed(3603)
+    rows, cols = (4, 1, 4), (1, 2, 3, 1)
+
+    def gamma(p, q):
+        k = min(p, q)
+        s = rng.choice([0.0, 1.0, 0.5], size=k)
+        s = np.where(s == 0.5, rng.uniform(1e-3, 1 - 1e-3, size=k), s)
+        return (random_unitary(rng, p)[:, :k] * s) @ dagger(random_unitary(rng, q)[:, :k])
+
+    grid = tuple(tuple(gamma(r, c) for c in cols) for r in rows)
+    shape = BlockShape(rows, cols)
+    t = matrix_reconstruct(MatrixContractionParams(grid, shape))
+    params = matrix_parametrize(t, shape)
+    assert np.linalg.norm(matrix_reconstruct(params) - t) <= 1e-8
+    assert all(opnorm(g) <= 1.0 for row in params.gammas for g in row)
+
+
 def test_matrix_defects_2x2_trivial():
     params = scalar_grid(0.0, 0.0, 0.0, 0.0)
     f_t, f_ts = matrix_defects_2x2(params)
@@ -391,6 +414,27 @@ def test_psd_block_roundtrip_and_cholesky():
         off = np.cumsum((0,) + dims)
         for i in range(len(dims) - 1):
             assert np.abs(chol[off[i + 1]:, off[i]:off[i + 1]]).max() <= 1e-12
+
+
+def test_psd_row_contraction_rebuilds_its_block_row():
+    # a[k, k+1:] = L_kk R_k L', with L' the Cholesky factor of the trailing corner
+    rng = rng_from_seed(65)
+    dims = (2, 1, 3, 2)
+    b = complex_gaussian(rng, sum(dims), sum(dims))
+    a = dagger(b) @ b
+    params = psd_parametrize(a, BlockShape(dims, dims))
+    off = np.cumsum((0,) + dims)
+    n = len(dims)
+    for k in range(n - 1):
+        rest = dims[k + 1:]
+        trailing = PositiveSCParams(params.diag_roots[k + 1:], params.gammas[k + 1:],
+                                    BlockShape(rest, rest))
+        row = params.diag_roots[k] @ params.row_contraction(k) @ psd_cholesky(trailing)
+        np.testing.assert_allclose(row, a[off[k]:off[k + 1], off[k + 1]:],
+                                   atol=1e-10 * np.linalg.norm(a))
+    for k in (-1, n - 1, n):
+        with pytest.raises(IndexError, match=f"need 0 <= k < {n - 1}, got {k}"):
+            params.row_contraction(k)
 
 
 def test_psd_singular_blocks_roundtrip():

@@ -5,11 +5,14 @@ interior, so rank-deficient and norm-one parameters are as common as
 interior ones.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from schur_dilate.contraction import defects
 from schur_dilate.errors import NoFactor
 from schur_dilate.linalg import DEFAULT_TOL, dagger, frob
 from schur_dilate.sampling import complex_gaussian, random_unitary, rng_from_seed
@@ -30,6 +33,7 @@ from schur_dilate.scparams import (
 )
 
 FACTOR_TOL = 1e-10
+NATURAL_TOL = 1e-12
 ADJOINT_TOL = 1e-12
 RECON_TOL = DEFAULT_TOL.recon_tol
 
@@ -98,6 +102,41 @@ def test_col_lower_factor(params):
     assert_block_lower(lower, dims)
     assert_close(lower @ dagger(lower), np.eye(sum(dims)) - c @ dagger(c), FACTOR_TOL)
     assert_close(product @ dagger(product), np.eye(c.shape[1]) - dagger(c) @ c, FACTOR_TOL)
+
+
+def natural_factors(gammas):
+    """F and M of a row of gammas, every block from its formula.
+
+    D_{G_i} on the diagonal of F, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j
+    below it, and M = D_{G_1*} ... D_{G_n*}; one ``defects`` call per gamma.
+    """
+    pairs = [defects(g) for g in gammas]
+    off = np.cumsum([0] + [g.shape[1] for g in gammas])
+    f = np.zeros((off[-1], off[-1]), dtype=complex)
+    for i, gi in enumerate(gammas):
+        f[off[i]:off[i + 1], off[i]:off[i + 1]] = pairs[i].d_t
+        for j in range(i):
+            chain = [-dagger(gi)] + [pairs[k].d_t_star for k in range(i - 1, j, -1)]
+            f[off[i]:off[i + 1], off[j]:off[j + 1]] = functools.reduce(
+                np.matmul, chain + [gammas[j]])
+    return f, functools.reduce(np.matmul, [p.d_t_star for p in pairs])
+
+
+@pytest.mark.parametrize("orientation", ["row", "column"])
+@examples
+@given(data=st.data())
+def test_defect_factors_are_the_natural_factors(orientation, data):
+    # the Gram identities hold for F times any block-diagonal unitary too;
+    # pin F itself, since matrix parameters are solved against it
+    params = data.draw(row_params(orientation))
+    row = orientation == "row"
+    gammas = params.gammas if row else [dagger(g) for g in params.gammas]
+    f, m = natural_factors(gammas)
+    lower, product = row_defect_factors(params)
+    if not row:
+        lower, product = product, lower
+    assert_close(lower, f, NATURAL_TOL)
+    assert_close(product, m, NATURAL_TOL)
 
 
 @examples
