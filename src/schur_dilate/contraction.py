@@ -13,10 +13,11 @@ matrices.  The two solve operations realize the closed-form factorizations
 the pseudoinverse extends the factor by zero off the closed range, which is
 also the normalization making Gamma unique.
 
-The parametrizations pay two SVDs per extracted gamma, one stacked SVD per
-rebuild: extraction takes one SVD for the pseudoinverse and one of Gamma
-itself, which gives its norm test, its clip and both its defects; a rebuild
-knows all its gammas up front and takes their defects from one stacked SVD.
+An extracted gamma costs two SVDs, one stacked SVD per rebuild: extraction
+takes one SVD for the pseudoinverse and one of Gamma itself, which gives its
+norm test, its clip and both its defects (``_gamma_step``, or
+``_gamma_steps`` for a stack of gammas solved at once); a rebuild knows all
+its gammas up front and takes their defects from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from .linalg import (
     hermitian_part,
     opnorm,
     _as_stack,
+    _frobs,
     _pinv_rank,
+    _pinv_stack,
+    _rank_rconds,
     rank_rcond,
     zero_level,
 )
@@ -153,31 +157,33 @@ def julia(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return julia_block(t, defects(t, tol))
 
 
-def _solve_atol(x: np.ndarray, tol: Tolerances) -> float:
-    """Singular values of X at or below this are dropped by the factor solves.
+def _solve_atol(side, tol: Tolerances):
+    """Singular values of X at or below this are dropped by the factor solves;
+    ``side`` is the shorter side of X (elementwise, for an array of them).
 
     With Gamma contractive, Y = Gamma X carries at most sigma_i along the
-    i-th singular direction of X.  Dropping the (at most min(shape)) directions
+    i-th singular direction of X.  Dropping the (at most ``side``) directions
     below the cutoff therefore moves the solve residual by at most
-    sqrt(min(shape)) * cutoff <= CLIP_SLACK, the slack the residual check
+    sqrt(side) * cutoff <= CLIP_SLACK, the slack the residual check
     allows, while keeping them would amplify the rounding noise of Y by
     1 / sigma_i; products of defects with exact kernels leave such noise.
     Within that bound the cutoff is ``zero_level(1)``, the level below which
     ``defects`` counts 1 - s^2 as zero.
     """
-    return min(zero_level(1.0, tol), CLIP_SLACK / np.sqrt(max(1, min(x.shape))))
+    return np.minimum(zero_level(1.0, tol), CLIP_SLACK / np.sqrt(np.maximum(1, side)))
 
 
 def _solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
     """``Y X^+`` from one SVD of X, raising ``NoFactor`` if it leaves a residual."""
-    g = y @ _pinv_rank(x, rank_rcond(x, tol, _solve_atol(x, tol)))[0]
+    g = y @ _pinv_rank(x, rank_rcond(x, tol, _solve_atol(min(x.shape), tol)))[0]
     residual = frob(g @ x - y)
     if residual > CLIP_SLACK * max(1.0, frob(y)):
         raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual:.3e}")
     return g
 
 
-def _damped_solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _damped_solve(x: np.ndarray, y: np.ndarray, tol: Tolerances,
+                  checked: bool = True) -> np.ndarray:
     """Contraction ``Y X* (X X* + lam I)^+`` for a solve ``Y X^+`` that
     overshoots norm one beyond the clip slack.
 
@@ -191,13 +197,14 @@ def _damped_solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
     monotonically in ``lam``; bisection finds the least ``lam`` with norm at
     most 1.  Raises ``NoFactor`` unless that factor reproduces Y within
     ``CLIP_SLACK`` relative to ``||Y||_F``, so an overshoot that only the
-    strong directions of X could absorb still fails.
+    strong directions of X could absorb still fails; without ``checked``
+    the factor is returned whatever its residual.
     """
     try:
         u, s, vh = np.linalg.svd(x, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    keep = int((s > rank_rcond(x, tol, _solve_atol(x, tol)) * s[0]).sum())
+    keep = int((s > rank_rcond(x, tol, _solve_atol(min(x.shape), tol)) * s[0]).sum())
     u, s, b = u[:, :keep], s[:keep], y @ dagger(vh[:keep])
     lo, hi = 0.0, frob(y) ** 2 / 4  # sigma / (sigma^2 + lam) <= 1 / (2 sqrt(lam))
     for _ in range(64):
@@ -208,7 +215,7 @@ def _damped_solve(x: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
             hi = mid
     g = (b * (s / (s * s + hi))) @ dagger(u)
     residual = frob(g @ x - y)
-    if residual > CLIP_SLACK * frob(y):
+    if checked and residual > CLIP_SLACK * frob(y):
         raise NoFactor(f"Y*Y <= X*X fails: no contraction within slack, residual {residual:.3e}")
     return g
 
@@ -254,6 +261,7 @@ def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
     test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
     both defects of the clipped Gamma.  A norm beyond the slack falls back
     to ``_damped_solve``, as in ``solve_contraction_factor``.
+    ``_gamma_steps`` is the same step on stacks.
     """
     g = dagger(_solve(dagger(dacc), dagger(blk), tol))
     u, s, vh = _full_svd(g)
@@ -264,6 +272,61 @@ def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
         s = np.minimum(s, 1.0)
         g = (u[:, :s.size] * s) @ vh[:s.size]
     return g, _defect_pair(u, s, vh, tol)
+
+
+def _corner_mask(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
+    """Mask of the leading ``rows[i] x cols[i]`` corner of each ``side x side`` matrix."""
+    line = np.arange(side)
+    return (line < rows[:, np.newaxis])[:, :, np.newaxis] & (line < cols[:, np.newaxis])[:, np.newaxis]
+
+
+def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
+                 rows: np.ndarray, cols: np.ndarray,
+                 checked: bool = True, rescue=None) -> tuple[np.ndarray, DefectPair]:
+    """``_gamma_step`` on zero-padded stacks: Gamma_i with ``dacc_i Gamma_i =
+    blk_i`` and both its defects, from two stacked SVDs.
+
+    Each result is bit-identical to ``_gamma_step`` on its matrices alone;
+    the 2-D form stays, since row, column and matrix extraction solve one
+    gamma at a time and would pay the stack bookkeeping per gamma.
+    Without ``checked``, neither the solve residual nor the damped
+    fallback's is checked.  ``rescue(i)``, if given, is asked first for a
+    replacement of a Gamma_i beyond the slack, and may return None (see
+    ``_psd_stages``).
+
+    The i-th problem is the leading ``rows[i] x rows[i]`` corner of
+    ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
+    Gamma_i and its defects come back padded with exact zeros.
+    """
+    x, y = dagger(dacc), dagger(blk)
+    side = x.shape[-1]
+    xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
+    gs = y @ xinv
+    if checked:
+        residual = _frobs(gs @ x - y)
+        bad = np.flatnonzero(residual > CLIP_SLACK * np.maximum(1.0, _frobs(y)))
+        if bad.size:
+            raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad[0]]:.3e}")
+    g = dagger(gs)
+    u, s, vh = _full_svd(g)
+    for i in np.flatnonzero(s[:, 0] > 1.0 + CLIP_SLACK):
+        p, q = rows[i], cols[i]
+        gi = None if rescue is None else rescue(i)
+        if gi is None:
+            gi = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
+        g[i] = 0.0
+        g[i, :p, :q] = gi
+        u[i], s[i], vh[i] = _full_svd(g[i])
+    over = s[:, 0] > 1.0
+    if over.any():
+        s = np.minimum(s, 1.0)
+        k = s.shape[-1]
+        g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
+    pair = _defect_pair(u, s, vh, tol)
+    if rows.min() == side and cols.min() == g.shape[-1]:
+        return g, pair
+    return g * _corner_mask(rows, cols, side), DefectPair(pair.d_t * _corner_mask(cols, cols, side),
+                                                          pair.d_t_star * _corner_mask(rows, rows, side))
 
 
 def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsometryFactor:
@@ -280,5 +343,5 @@ def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsomet
     dev = frob(gx - gy)
     if dev > tol.psd_tol * max(1.0, frob(gx)):
         raise NotEquinormed(f"X*X and Y*Y differ by {dev:.3e}")
-    x_pinv, rank = _pinv_rank(x, rank_rcond(x, tol, _solve_atol(x, tol)))
+    x_pinv, rank = _pinv_rank(x, rank_rcond(x, tol, _solve_atol(min(x.shape), tol)))
     return PartialIsometryFactor(v=y @ x_pinv, initial_rank=rank)

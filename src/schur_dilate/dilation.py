@@ -47,6 +47,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _as_stack,
     as_matrix,
     check_unitary,
     dagger,
@@ -349,22 +350,27 @@ def channel_simulate(result: DilationResult, rho,
     out_dim x n blocks of ``U[:, :n]``; only those are read, so a call
     costs O(k n^2) instead of the O(k^3) of the full conjugation.
     Excluding the absorbing blocks reproduces the original
-    trace-decreasing map.
+    trace-decreasing map.  ``rho`` may be a stack ``(T, n, n)`` of states:
+    one stacked ``is_psd`` then checks them all, and each output is
+    bit-identical to the call on its state alone.
     """
     if result.kind != "channel":
         raise ValueError("channel_simulate needs a channel dilation")
     n = result.system_span[1] - result.system_span[0]
     m = result.out_dim
-    rho = as_matrix(rho, "rho")
-    if rho.shape != (n, n):
-        raise DimensionMismatch(f"state must be {n} x {n}, got {rho.shape}")
-    check = is_psd(rho, tol)
-    if not check:
-        raise NotState(f"state has eigenvalue {check.min_eigenvalue:.3e}")
-    if np.trace(rho).real > 1.0 + tol.psd_tol:
+    states = _as_stack(rho, "rho")
+    if states.shape[-2:] != (n, n):
+        raise DimensionMismatch(f"state must be {n} x {n}, got {states.shape}")
+    checks = is_psd(states, tol)
+    for check in checks if states.ndim == 3 else [checks]:
+        if not check:
+            raise NotState(f"state has eigenvalue {check.min_eigenvalue:.3e}")
+    if (np.trace(states, axis1=-2, axis2=-1).real > 1.0 + tol.psd_tol).any():
         raise NotState("state trace exceeds 1")
     q = result.total_dim // m
     v = result.unitary[:q * m, :n].reshape(q, m, n)  # V_b = block row b of U's first columns
     if not include_absorbing:
         v = v[np.setdiff1d(np.arange(q), result.absorbing_blocks)]
-    return np.tensordot(v @ rho, v.conj(), axes=([0, 2], [0, 2]))
+    outs = [np.tensordot(v @ r, v.conj(), axes=([0, 2], [0, 2]))
+            for r in states.reshape(-1, n, n)]
+    return np.stack(outs) if states.ndim == 3 else outs[0]

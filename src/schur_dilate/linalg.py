@@ -199,22 +199,47 @@ def rank_rcond(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) 
     return rcond
 
 
+def _rank_rconds(side, scale: np.ndarray, tol: Tolerances, atol=0.0) -> np.ndarray:
+    """``rank_rcond`` of each matrix of a stack, given their largest sides
+    ``side`` and Frobenius norms ``scale`` (``side`` and ``atol`` may be
+    arrays or scalars)."""
+    rcond = np.multiply(side, np.finfo(float).eps) if tol.rank_tol is None else tol.rank_tol
+    floor = np.divide(atol, scale, out=np.zeros_like(scale), where=(scale > 0) & (atol > 0))
+    return np.maximum(rcond, floor)
+
+
 def _pinv_rank(a: np.ndarray, rcond: float) -> tuple[np.ndarray, int]:
     """``np.linalg.pinv(a, rcond)`` and the number of singular values it keeps.
 
-    One SVD, in ``np.linalg.pinv``'s own arithmetic, so the pseudoinverse is
-    bit-identical to numpy's.  ``a`` must be a finite 2-D complex array.
+    ``a`` must be a finite 2-D complex array.
     """
     if a.size == 0:
         return np.zeros((a.shape[1], a.shape[0]), dtype=complex), 0
+    inv, rank = _pinv_stack(a[np.newaxis], np.array([rcond]))
+    return inv[0], int(rank[0])
+
+
+def _pinv_stack(a: np.ndarray, rcond: np.ndarray,
+                floor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.pinv`` of each matrix of a nonempty stack ``(T, m, n)``,
+    the i-th with relative cutoff ``rcond[i]``, and the number of singular
+    values each keeps.  Singular values at or below ``floor[i]`` are cut too.
+
+    One stacked SVD, in ``np.linalg.pinv``'s own arithmetic, so without a
+    floor each pseudoinverse is bit-identical to numpy's of its matrix alone.
+    """
     try:
         u, s, vh = np.linalg.svd(a.conjugate(), full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergence(str(exc)) from exc
-    large = s > rcond * np.amax(s, axis=-1, keepdims=True)
+    cutoff = rcond[:, np.newaxis] * s[:, :1]  # s is sorted in descending order
+    if floor is not None:
+        cutoff = np.maximum(cutoff, floor[:, np.newaxis])
+    large = s > cutoff
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
-    return vh.T @ (s[:, np.newaxis] * u.T), int(large.sum())
+    inv = vh.swapaxes(-1, -2) @ (s[..., np.newaxis] * u.swapaxes(-1, -2))
+    return inv, large.sum(axis=-1)
 
 
 def pinv(a, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) -> np.ndarray:

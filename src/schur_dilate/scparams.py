@@ -24,16 +24,20 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, so the
-parametrizations pay two SVDs per extracted gamma, one stacked SVD per
-rebuild: extraction takes one SVD for the pseudoinverse solve and one of the
-gamma, which also decides its clip; a rebuild knows all its gammas up front
-and takes their defects from one stacked SVD (one per distinct gamma
-shape).  One walk over a row of gammas and their defect pairs gives the
-row contraction ``T`` and both its natural defect factors, the block
-lower-triangular ``F`` (F F* = I - T*T) and ``M = D_{G_1*} ... D_{G_n*}``
-(M M* = I - T T*), at four products per gamma.  The unitary split
-reassembles through ``julia_block`` and ``with_freedom``.
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Row, column and
+matrix extraction pays two SVDs per gamma: one for the pseudoinverse solve
+and one of the gamma, which also decides its clip.  ``Gamma_ij`` of a
+positive matrix depends only on the principal block ``a[i..j]``, so psd
+extraction runs one stage per lag ``j - i``, every row at once: one stacked
+``eigh`` for the roots, then three stacked SVDs per lag (``_psd_stages``).
+A rebuild knows all its gammas up front and takes their defects from one
+stacked SVD (one per distinct gamma shape).  One walk over a row of gammas
+and their defect pairs gives the row contraction ``T`` and both its natural
+defect factors, the block lower-triangular ``F`` (F F* = I - T*T) and
+``M = D_{G_1*} ... D_{G_n*}`` (M M* = I - T T*), at four products per
+gamma; a walk over a block column gives ``T x`` and ``F* x`` instead
+(``_column_walk``).  The unitary split reassembles through ``julia_block``
+and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -49,7 +53,9 @@ import numpy as np
 
 from .contraction import (
     DefectPair,
+    _corner_mask,
     _gamma_step,
+    _gamma_steps,
     check_contraction,
     clip_to_contraction,
     defect,
@@ -68,6 +74,9 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _frobs,
+    _pinv_stack,
+    _rank_rconds,
     as_matrix,
     check_unitary,
     dagger,
@@ -438,13 +447,64 @@ def unitary_reassemble(g1, g2, g3, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 # positive block matrices
 
 
-def _chol_step(root, rk, f, chol) -> np.ndarray:
-    """Extend the Cholesky factor of a trailing corner by one block row above,
-    given the row contraction ``rk`` and its lower defect factor ``f``."""
-    return np.block([
-        [root, rk @ chol],
-        [np.zeros((chol.shape[0], root.shape[1])), dagger(f) @ chol],
-    ])
+def _pad_index(dims, side: int) -> np.ndarray:
+    """Positions of the entries of blocks ``dims`` among blocks padded to ``side``."""
+    return np.concatenate([i * side + np.arange(d) for i, d in enumerate(dims)])
+
+
+def _padded_blocks(a: np.ndarray, dims, side: int) -> np.ndarray:
+    """``a`` as an ``(n, n, side, side)`` grid of zero-padded blocks (a view
+    of ``a`` when every block has size ``side``)."""
+    n = len(dims)
+    if min(dims) < side:
+        idx = _pad_index(dims, side)
+        padded = np.zeros((n * side, n * side), dtype=complex)
+        padded[np.ix_(idx, idx)] = a
+        a = padded
+    return a.reshape(n, side, n, side).swapaxes(1, 2)
+
+
+def _padded_roots(diag_blocks, dims, side: int, tol: Tolerances, cut: float) -> np.ndarray:
+    """Positive roots of the diagonal blocks, one stacked ``sqrt_psd`` per
+    block size, as an ``(n, side, side)`` zero-padded stack."""
+    roots = np.zeros((len(dims), side, side), dtype=complex)
+    for d in sorted(set(dims)):
+        idx = [i for i, di in enumerate(dims) if di == d]
+        roots[idx, :d, :d] = sqrt_psd(hermitian_part(diag_blocks[idx, :d, :d]), tol, cut)
+    return roots
+
+
+def _pad_grid(rows, side: int) -> np.ndarray:
+    """Rows of matrices as an ``(len(rows), len(rows), side, side)`` grid of
+    zero-padded blocks, ``[k, m]`` holding ``rows[k][m]``."""
+    out = np.zeros((len(rows), len(rows), side, side), dtype=complex)
+    for k, row in enumerate(rows):
+        for m, g in enumerate(row):
+            out[k, m, :g.shape[0], :g.shape[1]] = g
+    return out
+
+
+def _column_walk(g, d_t, d_t_star, x):
+    """``T x`` and ``F* x`` for a stack of rows of gammas, without forming F.
+
+    ``g[k, m]`` is the m-th gamma of row k, ``d_t[k, m]`` and
+    ``d_t_star[k, m]`` its defects; ``T`` is the row's contraction and ``F``
+    its lower defect factor (``_row_walk``).  ``x[k, m]`` is the m-th block
+    of a block column per row.  Walking m from the last gamma to the first,
+    with ``u = 0``: ``(F* x)_m = D_{G_m} x_m - G_m* u`` and
+    ``u <- G_m x_m + D_{G_m*} u``; the final ``u`` is ``T x``.  The products
+    with x are taken for all m at once, so each step costs two products,
+    stacked over the rows.
+    """
+    gx = g @ x
+    lower = d_t @ x
+    adj = dagger(g)
+    last = x.shape[1] - 1
+    u = gx[:, last]
+    for m in range(last - 1, -1, -1):
+        lower[:, m] -= adj[:, m] @ u
+        u = gx[:, m] + d_t_star[:, m] @ u
+    return u, lower
 
 
 def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
@@ -463,42 +523,170 @@ def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
 def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveSCParams:
     """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
     singular values up to ``sqrt(cut)`` counting as zero; a cut can drop a real
-    coupling, so then the result must rebuild ``a`` within ``_recon_bound``."""
+    coupling, so then the result must rebuild ``a`` within ``_recon_bound``.
+    """
     dims = shape.row_dims
     n = len(dims)
-    off = _offsets(dims)
-    roots = [sqrt_psd(hermitian_part(a[off[i]:off[i + 1], off[i]:off[i + 1]]), tol, cut)
-             for i in range(n)]
-    atol = np.sqrt(cut)
-    gamma_rows: list[tuple[np.ndarray, ...]] = [()] * n
-    chol = roots[n - 1]
-    for k in range(n - 2, -1, -1):
-        row = a[off[k]:off[k + 1], off[k + 1]:]
-        try:
-            rk = clip_to_contraction(pinv(roots[k], tol, atol) @ row @ pinv(chol, tol, atol))
-            gammas, pairs = _row_extract(rk, dims[k + 1:], tol)
-        except NotContraction as exc:
-            raise NoFactor(str(exc)) from exc
-        gamma_rows[k] = tuple(gammas)
-        if k:  # the factor of the whole matrix is not needed
-            chol = _chol_step(roots[k], rk, _row_walk(gammas, pairs, dims[k])[1], chol)
-    params = PositiveSCParams(tuple(roots), tuple(gamma_rows), shape)
+    side = max(dims)
+    blocks = _padded_blocks(a, dims, side)
+    diag = np.arange(n)
+    roots = _padded_roots(blocks[diag, diag], dims, side, tol, cut)
+    gammas = _psd_stages(blocks, roots, dims, cut, tol)
+    params = PositiveSCParams(
+        tuple(roots[i, :d, :d] for i, d in enumerate(dims)),
+        # views, each frozen (copied) in turn, so they are never all alive at once
+        ((gammas[k, m, :dims[k], :dims[k + 1 + m]] for m in range(n - 1 - k))
+         for k in range(n)),
+        shape)
     if cut and frob(psd_reconstruct(params, tol) - a) > _recon_bound(a, tol, psd=True):
         raise NoFactor("round-trip error above recon_tol after the rank cut")
     return params
 
 
-def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> PositiveSCParams:
-    """Parametrize a positive block matrix, bottom-up over trailing corners.
+def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances) -> np.ndarray:
+    """Gammas of the padded block grid ``blocks``, ``[k, m]`` coupling block k
+    to block k + 1 + m.
 
-    Maintains the block Cholesky factor of the trailing principal
-    submatrix; each step above solves one row contraction against it.
-    Besides one root per diagonal block, the extraction costs two SVDs per
-    gamma.  The uncut pass is exact on full-rank inputs; on rank-deficient
-    ones rounding-level singular values can cost it sqrt(eps) or push a
-    solve past norm 1.  The pass cut at ``zero_level(max|a|)`` goes first
-    when the least eigenvalue of ``a`` is that low; the other runs only if
-    the first fails.
+    ``Gamma_kj`` depends only on the principal block ``a[k..j]``, so the
+    gammas of one lag ``l = j - k`` are extracted together, every row at
+    once.  Row k carries ``X_k = L_k^+ a[k, >k]``, its solved row
+    contraction blocks ``(r_k)_m``, ``M_k = D_{G_k,k+1*} ... D_{G_k,j-1*}``
+    and its gammas so far; ``C^(k)[., j]`` is block column j of the natural
+    (Cholesky) factor of ``a[k..j]``, of which only the previous lag's
+    columns are kept.  Per lag, for all rows:
+
+    1. ``(r_k)_j = (X_kj - sum_{k<m<j} (r_k)_m C^(k+1)[m, j]) C^(k+1)[j, j]^+``,
+       block back-substitution against the trailing factor, with rank
+       decisions at that factor's scale ``sqrt(trace a[k+1..j])``;
+    2. ``Gamma_kj`` from ``M_k Gamma = (r_k)_j`` (``_gamma_steps``), then
+       ``M_k <- M_k D_{Gamma_kj*}``;
+    3. the new column: ``C^(k)[k, j] = sum_{k<m<=j} (r_k)_m C^(k+1)[m, j]``
+       and below it ``F_k* C^(k+1)[>k, j]`` (``_column_walk``).
+
+    Blocks of mixed sizes are zero-padded to the largest one.
+
+    Next to a parameter of norm one, a new gamma can overshoot norm one far
+    beyond the clip slack although the row is a contraction up to rounding:
+    the defects of the row's earlier gammas are known only to about eps
+    over their square, and two small pivots can make a singular value of
+    the trailing factor that no single pivot shows.  Such a row is solved
+    again as a whole, against the factor of ``a[k+1..j]`` rebuilt from the
+    gammas below, clipped to the unit ball and re-extracted block by block
+    (``_rescue_row``); its earlier gammas move, but rows above have used
+    them, so the stages rerun with the row's gammas pinned.  If the whole
+    row overshoots beyond the slack too, the gamma is damped
+    (``_damped_solve``), unchecked in the cut pass: along a direction the
+    cut drops the data need not be consistent, and the cut pass's
+    round-trip check bounds what the damping costs.
+    """
+    pinned: dict[int, tuple] = {}
+    while True:
+        gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned)
+        if not clipped:
+            return gammas
+        pinned.update(clipped)
+
+
+def _rescue_row(blocks, roots, root_pinv, g, dims, k: int, j: int, atol: float,
+                tol: Tolerances):
+    """Gammas of row k up to block j and their defect pairs, from its row
+    contraction solved against the whole factor of ``a[k+1..j]``, rebuilt
+    from the gammas of the rows below, and clipped to the unit ball."""
+    h, sub = dims[k], dims[k + 1:j + 1]
+    below = PositiveSCParams(
+        tuple(roots[i, :d, :d] for i, d in enumerate(sub, k + 1)),
+        tuple(tuple(g[i, m, :dims[i], :dims[i + 1 + m]] for m in range(j - i))
+              for i in range(k + 1, j + 1)),
+        BlockShape(sub, sub))
+    x = root_pinv[k, :h, :h] @ np.hstack([blocks[k, i, :h, :dims[i]] for i in range(k + 1, j + 1)])
+    row = clip_to_contraction(x @ pinv(psd_cholesky(below, tol), tol, atol))
+    return _row_extract(row, sub, tol)
+
+
+def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):
+    """One pass of ``_psd_stages``: the gammas, or None and the rows to pin.
+
+    ``pinned[k]`` holds the leading gammas of row k and their defect pairs,
+    which are used instead of solving for them.
+    """
+    n = len(dims)
+    side = roots.shape[-1]
+    sizes = np.array(dims)
+    off = np.array(_offsets(dims))
+    diag = np.arange(n)
+    root_norms = _frobs(roots)
+    # ||factor of a[k+1..j]||_F^2 = trace a[k+1..j] = sum_{k<i<=j} ||L_i||_F^2
+    sq_norms = np.concatenate(([0.0], np.cumsum(root_norms ** 2)))
+    atol = np.sqrt(cut)
+    root_pinv, _ = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
+    m_acc = (np.eye(side) * _corner_mask(sizes[:-1], sizes[:-1], side)).astype(complex)
+    # [k, m]: row k's gamma into block k + 1 + m, its defects and its solved r block
+    g, d_t, d_t_star, r = (np.zeros((n - 1, n - 1, side, side), dtype=complex) for _ in range(4))
+    cols = roots[1:, np.newaxis]  # cols[k, p] = C^(k+1)[k+1+p, k+lag], at lag 1
+    for lag in range(1, n):
+        rows = n - lag
+        known = (r[:rows, :lag - 1] @ cols[:, :lag - 1]).sum(axis=1)
+        z = root_pinv[:rows] @ blocks[diag[:rows], diag[:rows] + lag] - known
+        pivot = cols[:, -1]
+        if lag == 1:
+            pivot_pinv = root_pinv[1:]
+        else:
+            scale = np.sqrt(sq_norms[lag + 1:] - sq_norms[1:rows + 1])
+            floor = _rank_rconds(off[lag + 1:] - off[1:rows + 1], scale, tol, atol) * scale
+            pivot_pinv, _ = _pinv_stack(
+                pivot, _rank_rconds(sizes[lag:], _frobs(pivot), tol, atol), floor)
+        rj = z @ pivot_pinv
+        if min(dims) < side:
+            rj *= _corner_mask(sizes[:rows], sizes[lag:], side)
+        r[:rows, lag - 1] = rj
+        fixed = [k for k, (gammas, _) in pinned.items() if k < rows and len(gammas) >= lag]
+        free = np.setdiff1d(diag[:rows], fixed) if fixed else slice(rows)
+        clipped = {}
+
+        def rescue(i):
+            k = diag[:rows][free][i]
+            try:
+                row = _rescue_row(blocks, roots, root_pinv, g, dims, k, k + lag, atol, tol)
+            except (NotContraction, NoFactor):
+                return None
+            clipped[k] = row
+            return row[0][-1]
+
+        for k in fixed:
+            gk, pk = pinned[k][0][lag - 1], pinned[k][1][lag - 1]
+            g[k, lag - 1, :gk.shape[0], :gk.shape[1]] = gk
+            d_t[k, lag - 1, :gk.shape[1], :gk.shape[1]] = pk.d_t
+            d_t_star[k, lag - 1, :gk.shape[0], :gk.shape[0]] = pk.d_t_star
+        if len(fixed) < rows:
+            gj, pair = _gamma_steps(m_acc[free], rj[free], tol, sizes[:rows][free],
+                                    sizes[lag:][free], checked=not cut, rescue=rescue)
+            g[free, lag - 1], d_t[free, lag - 1], d_t_star[free, lag - 1] = \
+                gj, pair.d_t, pair.d_t_star
+        if clipped:
+            return None, clipped
+        if lag == n - 1:
+            break
+        m_acc = m_acc[:rows - 1] @ d_t_star[:rows - 1, lag - 1]
+        # row 0's new column would only serve a row above it
+        _, lower = _column_walk(g[1:rows, :lag], d_t[1:rows, :lag], d_t_star[1:rows, :lag],
+                                cols[1:])
+        top = known[1:] + rj[1:] @ pivot[1:]
+        cols = np.concatenate((top[:, np.newaxis], lower), axis=1)
+    return g, {}
+
+
+def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> PositiveSCParams:
+    """Parametrize a positive block matrix, one lag ``j - i`` at a time.
+
+    ``Gamma_ij`` depends only on the principal block ``a[i..j]``, so each
+    stage extracts the gammas of one lag for every row at once, solving
+    against the columns of the previous stage's Cholesky factors
+    (``_psd_stages``).  Besides one stacked root per block size, the
+    extraction costs three stacked SVDs per lag.  The uncut pass is exact
+    on full-rank inputs; on rank-deficient ones rounding-level singular
+    values can cost it sqrt(eps) or push a solve past norm 1.  The pass cut
+    at ``zero_level(max|a|)`` goes first when the least eigenvalue of ``a``
+    is that low; the other runs only if the first fails.
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -516,15 +704,36 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
 
 
 def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Block upper-triangular L with L*L equal to the reconstructed matrix."""
+    """Block upper-triangular L with L*L equal to the reconstructed matrix.
+
+    Block column j of L is the last column of the natural factor of
+    ``a[0..j]``.  It is built one lag at a time, as ``_psd_stages`` does:
+    every row k extends its column ``x = C^(k+1)[., j]`` by ``T_k x`` on top
+    and ``F_k* x`` below (``_column_walk``).  The defects of all gammas come
+    from one stacked SVD per gamma shape.
+    """
     dims = params.dims
     n = len(dims)
-    row_pairs = _defect_grid(params.gammas, tol)
-    chol = np.array(params.diag_roots[n - 1])
-    for k in range(n - 2, -1, -1):
-        rk, f, _ = _row_walk(params.gammas[k], row_pairs[k], dims[k])
-        chol = _chol_step(params.diag_roots[k], rk, f, chol)
-    return chol
+    side = max(dims)
+    full = np.zeros((n, side, n, side), dtype=complex)
+    for i, root in enumerate(params.diag_roots):
+        full[i, :dims[i], i, :dims[i]] = root
+    rows = params.gammas[:-1]
+    pairs = _defect_grid(rows, tol)
+    g = _pad_grid(rows, side)
+    d_t = _pad_grid([[p.d_t for p in row] for row in pairs], side)
+    d_t_star = _pad_grid([[p.d_t_star for p in row] for row in pairs], side)
+    cols = full[1:, :, 1:].diagonal(axis1=0, axis2=2).transpose(2, 0, 1)[:, np.newaxis]
+    for lag in range(1, n):
+        rows = n - lag
+        top, lower = _column_walk(g[:rows, :lag], d_t[:rows, :lag], d_t_star[:rows, :lag], cols)
+        full[0, :, lag] = top[0]
+        full[1:lag + 1, :, lag] = lower[0]
+        cols = np.concatenate((top[1:, np.newaxis], lower[1:]), axis=1)
+    full = full.reshape(n * side, n * side)
+    if min(dims) < side:
+        full = full[np.ix_(_pad_index(dims, side), _pad_index(dims, side))]
+    return full
 
 
 def psd_reconstruct(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -8,8 +8,15 @@ import pytest
 
 from schur_dilate import cli, serialize
 from schur_dilate.cli import main
+from schur_dilate.dilation import KrausChannel, channel_simulate
 from schur_dilate.linalg import dagger, unitarity_deviation
-from schur_dilate.sampling import complex_gaussian, random_contraction, rng_from_seed
+from schur_dilate.sampling import (
+    complex_gaussian,
+    random_contraction,
+    random_density,
+    random_kraus_family,
+    rng_from_seed,
+)
 
 
 def write_matrix(path, a):
@@ -180,6 +187,29 @@ def test_dilate_channel_with_simulation(tmp_path, capsys):
         serialize.dilation_from_obj(serialize.load(out)).unitary)
     assert report["simulate_trials"] == 20
     assert report["simulate_max_deviation"] <= 1e-10
+
+
+def test_dilate_simulation_report_equals_the_one_state_loop(tmp_path, capsys):
+    # the states are drawn in the same order and checked as one stack; the
+    # reported deviation is the one-state-at-a-time loop's to the bit
+    rng = rng_from_seed(92)
+    channel = KrausChannel(3, 2, tuple(random_kraus_family(rng, 3, 2, 4)))
+    ch_file, out = tmp_path / "ch.json", tmp_path / "u.json"
+    serialize.dump({"in_dim": 3, "out_dim": 2,
+                    "kraus": [serialize.matrix_to_obj(e) for e in channel.kraus]}, ch_file)
+    code, stdout, _ = run_cli(capsys, "dilate", "--channel", str(ch_file),
+                              "--simulate", "12", "--seed", "5", "--out", str(out))
+    assert code == 0
+    result = serialize.dilation_from_obj(serialize.load(out))
+    states = rng_from_seed(5)
+    worst = 0.0
+    for _ in range(12):
+        rho = random_density(states, 3)
+        worst = max(worst, float(np.abs(channel.apply(rho) - channel_simulate(result, rho)).max()))
+    assert stdout == cli._emit({
+        "kind": "channel", "total_dim": result.total_dim, "ancilla_dim": result.ancilla_dim,
+        "unitarity": result.unitarity, "passed": True,
+        "simulate_trials": 12, "simulate_max_deviation": worst}) + "\n"
 
 
 def test_dilate_non_trace_preserving_exits_2(tmp_path, capsys):

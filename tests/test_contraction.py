@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from schur_dilate.contraction import (
     CLIP_SLACK,
     _gamma_step,
+    _gamma_steps,
     defects,
     julia,
     solve_contraction_factor,
@@ -275,6 +276,62 @@ def test_gamma_step_is_solve_then_defects_bitwise(h, d, seed):
     want_pair = defects(want)
     assert same_bits(pair.d_t, want_pair.d_t)
     assert same_bits(pair.d_t_star, want_pair.d_t_star)
+
+
+def gamma_problem(rng, h, d, kind):
+    """``(dacc, blk)`` for one gamma step: interior, clipped within the slack,
+    or overshooting through a small singular value of dacc (damped)."""
+    dacc = (defects(random_contraction(rng, h, h, spectral_norm=0.9)).d_t_star
+            @ defects(random_contraction(rng, h, 2)).d_t_star)
+    norm = (0.9, 1.0 + CLIP_SLACK / 2, 1.0)[kind]
+    if kind == 2:
+        u, s, vh = np.linalg.svd(dacc)
+        s[-1] = 1e-7
+        dacc = (u * s) @ vh
+    blk = dacc @ random_contraction(rng, h, d, spectral_norm=norm)
+    if kind == 2:
+        blk = blk + 1e-14 * complex_gaussian(rng, h, d)
+    return dacc, blk
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4), st.integers(1, 4))
+def test_gamma_steps_equal_the_2d_step_bitwise(seed, count, h, d):
+    rng = rng_from_seed(seed)
+    problems = [gamma_problem(rng, h, d, i % 3) for i in range(count)]
+    dacc, blk = (np.stack(p) for p in zip(*problems))
+    sizes = np.full(count, h), np.full(count, d)
+    try:
+        singles = [_gamma_step(x, y, Tolerances()) for x, y in problems]
+    except NoFactor:
+        with pytest.raises(NoFactor):
+            _gamma_steps(dacc, blk, Tolerances(), *sizes)
+        return
+    g, pair = _gamma_steps(dacc, blk, Tolerances(), *sizes)
+    for i, (gi, pi) in enumerate(singles):
+        assert same_bits(g[i], gi)
+        assert same_bits(pair.d_t[i], pi.d_t)
+        assert same_bits(pair.d_t_star[i], pi.d_t_star)
+
+
+def test_gamma_steps_on_padded_stacks():
+    # mixed shapes zero-padded to 4 x 4: the corners agree with the 2-D
+    # step to rounding, and the padding stays exactly zero
+    rng = rng_from_seed(31)
+    shapes = [(1, 4), (3, 2), (4, 4), (2, 1), (2, 3)]
+    problems = [gamma_problem(rng, h, d, 0) for h, d in shapes]
+    dacc = np.zeros((len(shapes), 4, 4), dtype=complex)
+    blk = np.zeros_like(dacc)
+    for i, (x, y) in enumerate(problems):
+        dacc[i, :x.shape[0], :x.shape[0]], blk[i, :y.shape[0], :y.shape[1]] = x, y
+    rows, cols = (np.array(v) for v in zip(*shapes))
+    g, pair = _gamma_steps(dacc, blk, Tolerances(), rows, cols)
+    for i, ((h, d), (x, y)) in enumerate(zip(shapes, problems)):
+        gi, pi = _gamma_step(x, y, Tolerances())
+        for got, want, (p, q) in ((g[i], gi, (h, d)), (pair.d_t[i], pi.d_t, (d, d)),
+                                  (pair.d_t_star[i], pi.d_t_star, (h, h))):
+            np.testing.assert_allclose(got[:p, :q], want, atol=1e-13)
+            assert not got[p:].any() and not got[:, q:].any()
 
 
 def test_gamma_step_clips_within_slack_and_fails_beyond():

@@ -327,6 +327,26 @@ def test_channel_simulate_validation():
         channel_simulate(result, np.diag([0.9, 0.9]))
 
 
+def test_channel_simulate_stack_equals_one_state_at_a_time():
+    rng = rng_from_seed(91)
+    kraus = tuple(0.9 * e for e in random_kraus_family(rng, 3, 2, 4))
+    result = channel_dilate(KrausChannel(in_dim=3, out_dim=2, kraus=kraus),
+                            allow_trace_decreasing=True)
+    assert result.absorbing_blocks
+    states = np.stack([random_density(rng, 3) for _ in range(6)])
+    for absorbing in (True, False):
+        stacked = channel_simulate(result, states, include_absorbing=absorbing)
+        for rho, out in zip(states, stacked):
+            single = channel_simulate(result, rho, include_absorbing=absorbing)
+            assert out.tobytes() == single.tobytes()
+    bad = states.copy()
+    bad[4] = np.diag([1.2, -0.2, 0.0])
+    with pytest.raises(NotState, match="eigenvalue -2"):
+        channel_simulate(result, bad)
+    with pytest.raises(DimensionMismatch):
+        channel_simulate(result, states[:, :2, :2])
+
+
 def test_dilation_result_keeps_its_unitarity_deviation():
     result = channel_dilate(amplitude_damping())
     assert result.unitarity == unitarity_deviation(result.unitary)

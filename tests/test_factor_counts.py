@@ -1,18 +1,22 @@
 """Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
-An extracted gamma costs two SVDs: one for the pseudoinverse of its solve,
-and one of the gamma, which gives its clip and both D_Gamma and D_Gamma*.
-A rebuild takes the defects of all its same-shaped gammas from one stacked
-SVD.  ``eigh`` is left to the positive roots of diagonal blocks.  The
-pseudoinverses are SVDs of their own, so extraction gates count ``svd``,
-``pinv`` and ``norm2`` together.  The counts below are ceilings on the
-benchmark self-test's inputs; the inequality suite runs ten trials of the
-transpose witness.  The witness harness generates and checks its trials
-as a stack: one stacked factorization per generation stage, one matmul per
-sample for I_k (x) phi and one stacked ``eigvalsh`` for the check; arrow
-samples are built once, without ``np.block``.  Both dilations complete an isometry, whose
-Julia unitary needs no factorization at all.
+An extracted row, column or matrix gamma costs two SVDs: one for the
+pseudoinverse of its solve, and one of the gamma, which gives its clip and
+both D_Gamma and D_Gamma*.  Positive block matrices are extracted one lag
+at a time, all rows at once, so they pay stacked calls per lag instead:
+the pivots' pseudoinverses, the solves' and the gammas'.  A rebuild takes
+the defects of all its same-shaped gammas from one stacked SVD.  ``eigh``
+is left to the positive roots of diagonal blocks, one stacked call per
+block size.  The pseudoinverses are SVDs of their own, so extraction gates
+count ``svd``, ``pinv`` and ``norm2`` together.  The counts below are
+ceilings on the benchmark self-test's inputs; the inequality suite runs
+ten trials of the transpose witness.  The witness harness generates and
+checks its trials as a stack: one stacked factorization per generation
+stage, one matmul per sample for I_k (x) phi and one stacked ``eigvalsh``
+for the check; arrow samples are built once, without ``np.block``.  Both
+dilations complete an isometry, whose Julia unitary needs no factorization
+at all.
 """
 
 import collections
@@ -83,11 +87,13 @@ def test_psd_counts(counts):
     psd, _, _ = inputs()
     counts.clear()
     params = scparams.psd_parametrize(psd, scparams.BlockShape((4,) * 16, (4,) * 16))
-    # 16 roots; two SVDs for each of the 120 gammas; for each of the 15 row
-    # contractions, two pseudoinverses and the clip of the contraction
-    assert counts["eigh"] <= 16
-    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 285
-    assert counts["norm2"] <= 15
+    # the 16 roots from one stacked eigh; for each of the 15 lags one stacked
+    # SVD for the pivots' pseudoinverses (at lag 1 the pivots are roots,
+    # whose pseudoinverses are taken once up front), one for the solves' and
+    # one for the gammas
+    assert counts["eigh"] == 1
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 3 * 15
+    assert counts["norm2"] == 0
     counts.clear()
     scparams.psd_reconstruct(params)
     # the defects of all 120 gammas from one stacked SVD
@@ -144,6 +150,20 @@ def test_povm_dilate_counts(counts):
     assert counts["eigh"] == 0
     assert counts["svd"] == 0
     assert counts["block"] == 0
+
+
+def test_channel_simulate_counts(counts):
+    _, _, channel = inputs()
+    result = dilation.channel_dilate(channel)
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((20, 16, 16)) + 1j * rng.standard_normal((20, 16, 16))
+    states = g @ g.conj().swapaxes(1, 2)
+    states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+    counts.clear()
+    dilation.channel_simulate(result, states)
+    # the 20 states checked by one stacked eigvalsh
+    assert counts["eigvalsh"] == 1
+    assert counts["eigh"] + counts["svd"] == 0
 
 
 def test_inequality_suite_counts(counts):

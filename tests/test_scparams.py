@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -474,6 +476,24 @@ def test_psd_rank_cut_that_loses_a_coupling_raises():
     assert is_psd(a)
     with pytest.raises(NoFactor):
         psd_parametrize(a, BlockShape((1, 1), (1, 1)))
+
+
+def test_psd_parametrize_memory_is_quadratic():
+    # 96 scalar blocks: the 4560 frozen gammas alone take about 0.7 MB.  The
+    # lag stages keep per row only its gammas, defects and solved blocks and
+    # one block column of the previous lag; a defect factor F per row would
+    # hold sum_m m^2 = 290320 entries, 4.6 MB.
+    rng = rng_from_seed(67)
+    b = complex_gaussian(rng, 192, 96)
+    a = dagger(b) @ b
+    shape = BlockShape((1,) * 96, (1,) * 96)
+    tracemalloc.start()
+    try:
+        psd_parametrize(a, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_psd_rejects_indefinite():
