@@ -64,8 +64,9 @@ EXIT_NUMERICAL = 3
 
 CONTROL_FAMILIES = ("bell-control", "choi-control")
 
-# witness trials are generated and checked as stacks of at most this many
-# bytes of samples: 28 arrow trials of 24 x 24, 7 span trials of 48 x 48
+# witness trials and simulated dilate states are generated and checked as
+# stacks of at most this many bytes of samples: 28 arrow trials of 24 x 24,
+# 7 span trials of 48 x 48, 64 states of 16 x 16
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -154,10 +155,15 @@ def cmd_dilate(args, tol: Tolerances) -> int:
         }
         if args.simulate:
             rng = rng_from_seed(args.seed)
-            states = np.stack([random_density(rng, channel.in_dim)
-                               for _ in range(args.simulate)])
-            worst = max(float(np.abs(channel.apply(rho) - via_unitary).max())
-                        for rho, via_unitary in zip(states, channel_simulate(result, states, tol)))
+            n = channel.in_dim
+            size = max(1, _CHUNK_BYTES // (n * n * np.dtype(complex).itemsize))
+            worst = 0.0
+            for start in range(0, args.simulate, size):
+                # one stacked state check per chunk of at most _CHUNK_BYTES
+                states = np.stack([random_density(rng, n)
+                                   for _ in range(min(size, args.simulate - start))])
+                for rho, via_unitary in zip(states, channel_simulate(result, states, tol)):
+                    worst = max(worst, float(np.abs(channel.apply(rho) - via_unitary).max()))
             report["simulate_trials"] = args.simulate
             report["simulate_max_deviation"] = worst
             report["passed"] = worst <= CLIP_SLACK

@@ -15,9 +15,9 @@ also the normalization making Gamma unique.
 
 An extracted gamma costs two SVDs, one stacked SVD per rebuild: extraction
 takes one SVD for the pseudoinverse and one of Gamma itself, which gives its
-norm test, its clip and both its defects (``_gamma_step``, or
-``_gamma_steps`` for a stack of gammas solved at once); a rebuild knows all
-its gammas up front and takes their defects from one stacked SVD.
+norm test, its clip and both its defects (``_gamma_steps``, stacked over
+the gammas solved at once); a rebuild knows all its gammas up front and
+takes their defects from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -253,25 +253,10 @@ def _full_svd(g: np.ndarray):
 
 def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
                 tol: Tolerances) -> tuple[np.ndarray, DefectPair]:
-    """Gamma with ``dacc Gamma = blk`` and both its defects, from two SVDs.
-
-    The arithmetic of ``solve_left_factor`` followed by ``defects``, on
-    internal arrays, so without their input checks: one SVD gives the
-    pseudoinverse of ``dacc``, and one full SVD of Gamma gives the norm
-    test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
-    both defects of the clipped Gamma.  A norm beyond the slack falls back
-    to ``_damped_solve``, as in ``solve_contraction_factor``.
-    ``_gamma_steps`` is the same step on stacks.
-    """
-    g = dagger(_solve(dagger(dacc), dagger(blk), tol))
-    u, s, vh = _full_svd(g)
-    if s[0] > 1.0 + CLIP_SLACK:
-        g = dagger(_damped_solve(dagger(dacc), dagger(blk), tol))
-        u, s, vh = _full_svd(g)
-    if s[0] > 1.0:
-        s = np.minimum(s, 1.0)
-        g = (u[:, :s.size] * s) @ vh[:s.size]
-    return g, _defect_pair(u, s, vh, tol)
+    """Gamma with ``dacc Gamma = blk`` and both its defects, from two SVDs:
+    ``_gamma_steps`` on a stack of one."""
+    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
+    return g[0], DefectPair(pair.d_t[0], pair.d_t_star[0])
 
 
 def _corner_mask(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
@@ -280,50 +265,66 @@ def _corner_mask(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
     return (line < rows[:, np.newaxis])[:, :, np.newaxis] & (line < cols[:, np.newaxis])[:, np.newaxis]
 
 
+class _Overshoot(NoFactor):
+    """Solves of ``_gamma_steps`` that overshoot norm one beyond the clip slack."""
+
+    def __init__(self, indices: np.ndarray):
+        super().__init__(f"solves {indices.tolist()} overshoot norm one beyond the clip slack")
+        self.indices = indices
+
+
 def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
-                 rows: np.ndarray, cols: np.ndarray,
-                 checked: bool = True, rescue=None) -> tuple[np.ndarray, DefectPair]:
-    """``_gamma_step`` on zero-padded stacks: Gamma_i with ``dacc_i Gamma_i =
-    blk_i`` and both its defects, from two stacked SVDs.
+                 rows: np.ndarray | None = None, cols: np.ndarray | None = None,
+                 damp: bool = True, checked: bool = True) -> tuple[np.ndarray, DefectPair]:
+    """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, and
+    both defects of each, from two stacked SVDs.
 
-    Each result is bit-identical to ``_gamma_step`` on its matrices alone;
-    the 2-D form stays, since row, column and matrix extraction solve one
-    gamma at a time and would pay the stack bookkeeping per gamma.
-    Without ``checked``, neither the solve residual nor the damped
-    fallback's is checked.  ``rescue(i)``, if given, is asked first for a
-    replacement of a Gamma_i beyond the slack, and may return None (see
-    ``_psd_stages``).
+    The arithmetic of ``solve_left_factor`` followed by ``defects``, on
+    internal arrays, so without their input checks: one SVD gives the
+    pseudoinverse of ``dacc_i``, whose solve must leave no residual beyond
+    the slack, and one full SVD of Gamma_i gives the norm test, the clip of
+    singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and both defects of
+    the clipped Gamma_i.
+    A norm beyond the slack falls back to ``_damped_solve``, as in
+    ``solve_contraction_factor``; without ``damp``, ``_Overshoot`` names
+    all such solves instead.  Without ``checked``, neither the solve's
+    residual nor the damped fallback's is checked.
 
-    The i-th problem is the leading ``rows[i] x rows[i]`` corner of
-    ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
-    Gamma_i and its defects come back padded with exact zeros.
+    With ``rows`` and ``cols``, the i-th problem is the leading ``rows[i] x
+    rows[i]`` corner of ``dacc_i`` and ``rows[i] x cols[i]`` corner of
+    ``blk_i``, zero-padded; Gamma_i and its defects come back padded with
+    exact zeros.
     """
     x, y = dagger(dacc), dagger(blk)
     side = x.shape[-1]
+    padded = rows is not None
+    if not padded:
+        rows, cols = side, y.shape[-2]
     xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
     gs = y @ xinv
     if checked:
         residual = _frobs(gs @ x - y)
-        bad = np.flatnonzero(residual > CLIP_SLACK * np.maximum(1.0, _frobs(y)))
-        if bad.size:
-            raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad[0]]:.3e}")
+        bad = residual > CLIP_SLACK * np.maximum(1.0, _frobs(y))
+        if bad.any():
+            raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad][0]:.3e}")
     g = dagger(gs)
     u, s, vh = _full_svd(g)
-    for i in np.flatnonzero(s[:, 0] > 1.0 + CLIP_SLACK):
-        p, q = rows[i], cols[i]
-        gi = None if rescue is None else rescue(i)
-        if gi is None:
-            gi = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
+    norms = s[:, 0]  # a view: follows the damped rows' updates below
+    beyond = np.flatnonzero(norms > 1.0 + CLIP_SLACK)
+    if beyond.size and not damp:
+        raise _Overshoot(beyond)
+    for i in beyond:
+        p, q = (rows[i], cols[i]) if padded else (rows, cols)
         g[i] = 0.0
-        g[i, :p, :q] = gi
+        g[i, :p, :q] = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
         u[i], s[i], vh[i] = _full_svd(g[i])
-    over = s[:, 0] > 1.0
+    over = norms > 1.0
     if over.any():
         s = np.minimum(s, 1.0)
         k = s.shape[-1]
         g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
     pair = _defect_pair(u, s, vh, tol)
-    if rows.min() == side and cols.min() == g.shape[-1]:
+    if not padded or (rows.min() == side and cols.min() == g.shape[-1]):
         return g, pair
     return g * _corner_mask(rows, cols, side), DefectPair(pair.d_t * _corner_mask(cols, cols, side),
                                                           pair.d_t_star * _corner_mask(rows, rows, side))

@@ -204,7 +204,7 @@ def _rank_rconds(side, scale: np.ndarray, tol: Tolerances, atol=0.0) -> np.ndarr
     ``side`` and Frobenius norms ``scale`` (``side`` and ``atol`` may be
     arrays or scalars)."""
     rcond = np.multiply(side, np.finfo(float).eps) if tol.rank_tol is None else tol.rank_tol
-    floor = np.divide(atol, scale, out=np.zeros_like(scale), where=(scale > 0) & (atol > 0))
+    floor = np.divide(atol, scale, out=np.zeros_like(scale), where=scale > 0)
     return np.maximum(rcond, floor)
 
 

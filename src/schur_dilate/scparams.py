@@ -53,6 +53,7 @@ import numpy as np
 
 from .contraction import (
     DefectPair,
+    _Overshoot,
     _corner_mask,
     _gamma_step,
     _gamma_steps,
@@ -575,9 +576,9 @@ def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances) -> np.ndarray:
     (``_rescue_row``); its earlier gammas move, but rows above have used
     them, so the stages rerun with the row's gammas pinned.  If the whole
     row overshoots beyond the slack too, the gamma is damped
-    (``_damped_solve``), unchecked in the cut pass: along a direction the
-    cut drops the data need not be consistent, and the cut pass's
-    round-trip check bounds what the damping costs.
+    (``_damped_solve``).  The cut pass checks neither solve residuals nor
+    damped factors: along a direction the cut drops the data need not be
+    consistent, and its round-trip check bounds what both cost.
     """
     pinned: dict[int, tuple] = {}
     while True:
@@ -640,30 +641,29 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):
             rj *= _corner_mask(sizes[:rows], sizes[lag:], side)
         r[:rows, lag - 1] = rj
         fixed = [k for k, (gammas, _) in pinned.items() if k < rows and len(gammas) >= lag]
-        free = np.setdiff1d(diag[:rows], fixed) if fixed else slice(rows)
-        clipped = {}
-
-        def rescue(i):
-            k = diag[:rows][free][i]
-            try:
-                row = _rescue_row(blocks, roots, root_pinv, g, dims, k, k + lag, atol, tol)
-            except (NotContraction, NoFactor):
-                return None
-            clipped[k] = row
-            return row[0][-1]
-
         for k in fixed:
             gk, pk = pinned[k][0][lag - 1], pinned[k][1][lag - 1]
             g[k, lag - 1, :gk.shape[0], :gk.shape[1]] = gk
             d_t[k, lag - 1, :gk.shape[1], :gk.shape[1]] = pk.d_t
             d_t_star[k, lag - 1, :gk.shape[0], :gk.shape[0]] = pk.d_t_star
+        free = np.setdiff1d(diag[:rows], fixed) if fixed else slice(rows)
         if len(fixed) < rows:
-            gj, pair = _gamma_steps(m_acc[free], rj[free], tol, sizes[:rows][free],
-                                    sizes[lag:][free], checked=not cut, rescue=rescue)
+            problem = (m_acc[free], rj[free], tol, sizes[:rows][free], sizes[lag:][free])
+            try:
+                gj, pair = _gamma_steps(*problem, damp=False, checked=not cut)
+            except _Overshoot as exc:
+                rescued = {}
+                for k in diag[:rows][free][exc.indices]:
+                    try:
+                        rescued[k] = _rescue_row(blocks, roots, root_pinv, g, dims, k, k + lag,
+                                                 atol, tol)
+                    except (NotContraction, NoFactor):
+                        pass
+                if rescued:
+                    return None, rescued
+                gj, pair = _gamma_steps(*problem, checked=not cut)
             g[free, lag - 1], d_t[free, lag - 1], d_t_star[free, lag - 1] = \
                 gj, pair.d_t, pair.d_t_star
-        if clipped:
-            return None, clipped
         if lag == n - 1:
             break
         m_acc = m_acc[:rows - 1] @ d_t_star[:rows - 1, lag - 1]

@@ -189,9 +189,21 @@ def test_dilate_channel_with_simulation(tmp_path, capsys):
     assert report["simulate_max_deviation"] <= 1e-10
 
 
-def test_dilate_simulation_report_equals_the_one_state_loop(tmp_path, capsys):
-    # the states are drawn in the same order and checked as one stack; the
+@pytest.mark.parametrize("chunk_bytes, chunks", [(cli._CHUNK_BYTES, [12]),
+                                                (5 * 3 * 3 * 16, [5, 5, 2])])
+def test_dilate_simulation_report_equals_the_one_state_loop(tmp_path, capsys, monkeypatch,
+                                                            chunk_bytes, chunks):
+    # the states are drawn in the same order and checked as stacks (of 5
+    # states in the second case, so 12 states cross two chunk borders); the
     # reported deviation is the one-state-at-a-time loop's to the bit
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk_bytes)
+    stacks = []
+
+    def spy(result, states, tol):
+        stacks.append(len(states))
+        return channel_simulate(result, states, tol)
+
+    monkeypatch.setattr(cli, "channel_simulate", spy)
     rng = rng_from_seed(92)
     channel = KrausChannel(3, 2, tuple(random_kraus_family(rng, 3, 2, 4)))
     ch_file, out = tmp_path / "ch.json", tmp_path / "u.json"
@@ -200,6 +212,7 @@ def test_dilate_simulation_report_equals_the_one_state_loop(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "dilate", "--channel", str(ch_file),
                               "--simulate", "12", "--seed", "5", "--out", str(out))
     assert code == 0
+    assert stacks == chunks
     result = serialize.dilation_from_obj(serialize.load(out))
     states = rng_from_seed(5)
     worst = 0.0

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from schur_dilate.contraction import (
     CLIP_SLACK,
+    _Overshoot,
     _gamma_step,
     _gamma_steps,
+    _solve,
     defects,
     julia,
     solve_contraction_factor,
@@ -312,6 +314,24 @@ def test_gamma_steps_equal_the_2d_step_bitwise(seed, count, h, d):
         assert same_bits(g[i], gi)
         assert same_bits(pair.d_t[i], pi.d_t)
         assert same_bits(pair.d_t_star[i], pi.d_t_star)
+
+
+def test_gamma_steps_without_damping_name_every_overshoot():
+    # the solves beyond the clip slack are named together, before any of
+    # them is damped; with damping, each is the 2-D step's damped gamma
+    rng = rng_from_seed(31)
+    problems = [gamma_problem(rng, 3, 2, kind) for kind in (0, 2, 1, 2)]
+    dacc, blk = (np.stack(p) for p in zip(*problems))
+    beyond = [i for i, (x, y) in enumerate(problems)
+              if opnorm(_solve(dagger(x), dagger(y), Tolerances())) > 1.0 + CLIP_SLACK]
+    assert beyond == [1, 3]
+    with pytest.raises(_Overshoot) as info:
+        _gamma_steps(dacc, blk, Tolerances(), damp=False)
+    assert info.value.indices.tolist() == beyond
+    g, _ = _gamma_steps(dacc, blk, Tolerances())
+    for i in beyond:
+        assert same_bits(g[i], _gamma_step(*problems[i], Tolerances())[0])
+        assert opnorm(g[i]) <= 1.0
 
 
 def test_gamma_steps_on_padded_stacks():

@@ -228,14 +228,9 @@ def test_psd_roundtrip_rank_deficient(case):
     assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
 
 
-def near_unit_five_blocks(seed):
-    """Five blocks with full-rank roots and gammas of singular values 0, 1
-    and 1 - 2.3e-9, as a matrix and its block shape."""
-    dims = (2, 3, 4, 3, 4)
-    near_one = 10 ** -1e-9
-    singular = iter([(0, 0), (0, 0), (1, 0), (0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
-                     (0, 1, near_one), (0, 1, 1, 1), (0, 0, 0)])
-    rng = rng_from_seed(seed)
+def psd_with_gammas(rng, dims, singular):
+    """Full-rank roots ``B*B + I`` and gammas ``U diag(s) V*`` with ``s =
+    singular(min(p, q))`` for a p x q gamma, as a matrix and its block shape."""
     roots = []
     for d in dims:
         b = complex_gaussian(rng, d, d)
@@ -244,13 +239,39 @@ def near_unit_five_blocks(seed):
     for i, p in enumerate(dims):
         row = []
         for q in dims[i + 1:]:
-            s = np.array(next(singular), dtype=float)
+            s = np.array(singular(min(p, q)), dtype=float)
             u = random_unitary(rng, p)[:, :len(s)]
             v = random_unitary(rng, q)[:, :len(s)]
             row.append((u * s) @ dagger(v))
         gammas.append(row)
     shape = BlockShape(dims, dims)
     return psd_reconstruct(PositiveSCParams(roots, gammas, shape)), shape
+
+
+def near_unit_five_blocks(seed):
+    """Five blocks with full-rank roots and gammas of singular values 0, 1
+    and 1 - 2.3e-9, as a matrix and its block shape."""
+    near_one = 10 ** -1e-9
+    singular = iter([(0, 0), (0, 0), (1, 0), (0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+                     (0, 1, near_one), (0, 1, 1, 1), (0, 0, 0)])
+    return psd_with_gammas(rng_from_seed(seed), (2, 3, 4, 3, 4), lambda _: next(singular))
+
+
+def boundary_psd(seed, lo):
+    """2-5 blocks of size 1-4 with gamma singular values exactly 0, exactly
+    1, x or 1 - x (x log-uniform in [lo, 1]), as a matrix and its block
+    shape: the psd inputs of the boundary scan."""
+    rng = rng_from_seed(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(2, 6))))
+
+    def value():
+        kind = rng.integers(4)
+        if kind < 2:
+            return float(kind)
+        x = float(np.exp(rng.uniform(np.log(lo), 0.0)))
+        return x if kind == 2 else 1.0 - x
+
+    return psd_with_gammas(rng, dims, lambda count: [value() for _ in range(count)])
 
 
 def test_psd_roundtrip_trailing_factor_with_rounding_direction():
@@ -276,6 +297,24 @@ def test_psd_roundtrip_next_to_a_unit_parameter(seed):
     a, shape = near_unit_five_blocks(seed)
     again = psd_reconstruct(psd_parametrize(a, shape))
     assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
+
+
+@pytest.mark.parametrize("seed, lo", [(10228, 1e-6), (10167, 1e-8), (10315, 1e-8),
+                                      (10332, 1e-8)])
+def test_psd_cut_pass_leaves_solve_residuals_to_its_round_trip_check(seed, lo):
+    # Rank-deficient inputs (least eigenvalue about 1e-14) next to unit
+    # parameters.  A gamma solve leaves a residual of 1.4e-9 to 3.3e-9,
+    # beyond the clip slack, in both passes; in the cut pass it lies along
+    # directions the cut drops.  The cut pass checks no solve residual, and
+    # its round-trip check passes at an error of 2.1e-9 or less against a
+    # bound of 8.7e-7 or more.
+    a, shape = boundary_psd(seed, lo)
+    cut, uncut = passes(a)
+    assert cut > 0 == uncut
+    with pytest.raises(NoFactor, match="solve residual"):
+        scparams._psd_extract(a, shape, uncut, DEFAULT_TOL)
+    params = scparams._psd_extract(a, shape, cut, DEFAULT_TOL)
+    assert frob(psd_reconstruct(params) - a) <= scparams._recon_bound(a, DEFAULT_TOL, psd=True)
 
 
 def bottom_up_extract(a, dims, cut, tol=DEFAULT_TOL):
