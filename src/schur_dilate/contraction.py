@@ -66,11 +66,17 @@ class PartialIsometryFactor:
     initial_rank: int
 
 
-def check_contraction(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    t = as_matrix(t)
+def _contraction_norm(t: np.ndarray, tol: Tolerances) -> float:
+    """Operator norm of ``t``; ``NotContraction`` beyond ``1 + psd_tol``."""
     norm = opnorm(t)
     if norm > 1.0 + tol.psd_tol:
         raise NotContraction(f"operator norm {norm:.12f} exceeds 1")
+    return norm
+
+
+def check_contraction(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    t = as_matrix(t)
+    _contraction_norm(t, tol)
     return t
 
 

@@ -104,8 +104,10 @@ class Povm:
             if e.shape != (self.dim, self.dim):
                 raise DimensionMismatch(
                     f"effect shape {e.shape} differs from dim {self.dim}")
-            if not is_psd(e):
-                raise NotResolution("every effect must be PSD")
+        # one stacked eigvalsh for all the effects
+        if effects and not all(is_psd(np.stack(effects))):
+            raise NotResolution("every effect must be PSD")
+        for e in effects:
             e.setflags(write=False)
         total = sum(effects)
         if np.abs(total - np.eye(self.dim)).max() > DEFAULT_TOL.psd_tol:

@@ -24,12 +24,17 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Row, column and
-matrix extraction pays two SVDs per gamma: one for the pseudoinverse solve
-and one of the gamma, which also decides its clip.  ``Gamma_ij`` of a
-positive matrix depends only on the principal block ``a[i..j]``, so psd
-extraction runs one stage per lag ``j - i``, every row at once: one stacked
-``eigh`` for the roots, then three stacked SVDs per lag (``_psd_stages``).
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Row and column
+extraction pays two SVDs per gamma: one for the pseudoinverse solve and one
+of the gamma, which also decides its clip.  ``Gamma_ij`` of a positive
+matrix depends only on the principal block ``a[i..j]``, so psd extraction
+runs one stage per lag ``j - i``, every row at once: one stacked ``eigh``
+for the roots, then three stacked SVDs per lag (``_psd_stages``).  ``T`` is
+a contraction iff ``[[I, T], [T*, I]] >= 0``, and with the row blocks of
+``T`` taken in reverse order the grid of ``T`` is the corner of the psd
+parameters of that matrix that couples row blocks to column blocks, so
+matrix extraction is the same stages, one anti-diagonal ``i + j`` of the
+grid per lag, at three stacked SVDs per lag and no ``eigh``.
 A rebuild knows all its gammas up front and takes their defects from one
 stacked SVD (one per distinct gamma shape).  One walk over a row of gammas
 and their defect pairs gives the row contraction ``T`` and both its natural
@@ -54,6 +59,7 @@ import numpy as np
 from .contraction import (
     DefectPair,
     _Overshoot,
+    _contraction_norm,
     _corner_mask,
     _gamma_step,
     _gamma_steps,
@@ -62,7 +68,6 @@ from .contraction import (
     defect,
     defects,
     julia_block,
-    solve_left_factor,
     with_freedom,
 )
 from .errors import (
@@ -221,11 +226,27 @@ def _split_cols(t: np.ndarray, dims) -> list[np.ndarray]:
     return [t[:, off[k]:off[k + 1]] for k in range(len(dims))]
 
 
-def _row_extract(t: np.ndarray, dims, tol: Tolerances):
-    """Row gammas of ``t`` and their defect pairs, two SVDs each."""
+def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
+    """Row gammas of ``t`` and their defect pairs, two SVDs each.
+
+    Block k is solved against ``M = D_{G_1*} ... D_{G_{k-1}*}``.  Next to a
+    gamma with a singular value 1 - delta, the product knows that defect
+    only to about eps / delta, relative.  With ``tail``, M is rebuilt
+    before each solve as ``(M M*)^(1/2)`` times the polar factor of the
+    product, with ``M M* = I - sum_{i<k} T_i T_i*`` taken without
+    cancellation as ``D_{T*}^2 + sum_{i>=k} T_i T_i*`` from one SVD of
+    ``[D_{T*}, T_k, ..., T_n]``: equal in exact arithmetic, and accurate to
+    the rounding of ``t``.  This costs two more SVDs per block.
+    """
     dacc = np.eye(t.shape[0], dtype=complex)
     gammas, pairs = [], []
-    for blk in _split_cols(t, dims):
+    off = _offsets(dims)
+    d_star = defects(t, tol).d_t_star if tail else None
+    for k, blk in enumerate(_split_cols(t, dims)):
+        if tail and k:
+            u, s, _ = np.linalg.svd(np.hstack((d_star, t[:, off[k]:])), full_matrices=False)
+            pu, _, pvh = np.linalg.svd(dacc)
+            dacc = (u * s) @ dagger(u) @ pu @ pvh
         g, pair = _gamma_step(dacc, blk, tol)
         gammas.append(g)
         pairs.append(pair)
@@ -343,26 +364,59 @@ def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
 def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> MatrixContractionParams:
     """Extract the parameter grid of an n x m block contraction.
 
-    Block column k is solved against the product of the triangular defect
-    factors of the previous column parameters, then parametrized as a
-    column contraction.
+    ``gammas[i][j]`` is the psd parameter coupling row block i to column
+    block j of ``[[I, T~], [T~*, I]]``, where ``T~`` is ``T`` with its row
+    blocks in reverse order: the blocks run ``R_{n-1}, ..., R_0, C_0, ...,
+    C_{m-1}``, so that coupling has lag ``i + j + 1``.  The embedding has
+    identity roots and is positive iff ``T`` is a contraction, and
+    ``_psd_stages`` extracts it one lag, that is one anti-diagonal of the
+    grid, at a time.  The row-row and column-column gammas come out zero.
+
+    The uncut stages go first, so every solve keeps its residual check.  A
+    unit singular value of ``T`` makes the embedding singular, and then, as
+    for a rank-deficient psd input, a result must rebuild ``T`` within
+    ``recon_tol``.  If the uncut stages fail, or leave such a rebuild error,
+    the stages cut at ``zero_level(1)`` run, and their result must rebuild
+    ``T`` within ``recon_tol``.
     """
-    t = check_contraction(as_matrix(t), tol)
+    t = as_matrix(t)
+    norm = _contraction_norm(t, tol)
     shape.check(t)
-    ncols = len(shape.col_dims)
-    per_column = []
-    dacc = np.eye(shape.rows, dtype=complex)
-    for k, colblk in enumerate(_split_cols(t, shape.col_dims)):
-        ck = solve_left_factor(dacc, colblk, tol)
-        gammas, pairs = _row_extract(dagger(ck), shape.row_dims, tol)
-        per_column.append(_adjoints(gammas))
-        if k + 1 < ncols:  # no block column left to solve
-            dacc = dacc @ _row_walk(gammas, pairs, shape.col_dims[k])[1]
-    grid = tuple(
-        tuple(per_column[j][i] for j in range(ncols))
-        for i in range(len(shape.row_dims))
-    )
-    return MatrixContractionParams(grid, shape)
+    rd, cd = shape.row_dims, shape.col_dims
+    n = len(rd)
+    off = _offsets(rd)
+    flipped = np.vstack([t[off[i]:off[i + 1]] for i in range(n - 1, -1, -1)])
+    emb = np.eye(shape.rows + shape.cols, dtype=complex)
+    emb[:shape.rows, shape.rows:] = flipped
+    emb[shape.rows:, :shape.rows] = dagger(flipped)
+    dims = rd[::-1] + cd
+    side = max(dims)
+    sizes = np.array(dims)
+    roots = (np.eye(side) * _corner_mask(sizes, sizes, side)).astype(complex)
+    blocks = _padded_blocks(emb, dims, side)
+
+    def grid(level):
+        g = _psd_stages(blocks, roots, dims, level, tol)
+        return MatrixContractionParams(
+            tuple(tuple(g[n - 1 - i, i + j, :rd[i], :cd[j]] for j in range(len(cd)))
+                  for i in range(n)),
+            shape)
+
+    def rebuilds(params):
+        return frob(matrix_reconstruct(params, tol) - t) <= _recon_bound(t, tol)
+
+    cut = zero_level(1.0, tol)
+    try:
+        params = grid(0.0)
+        # the least eigenvalue of the embedding is 1 - ||T||
+        if norm < 1.0 - cut or rebuilds(params):
+            return params
+    except NoFactor:
+        pass
+    params = grid(cut)
+    if not rebuilds(params):
+        raise NoFactor("round-trip error above recon_tol after the rank cut")
+    return params
 
 
 def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -592,7 +646,10 @@ def _rescue_row(blocks, roots, root_pinv, g, dims, k: int, j: int, atol: float,
                 tol: Tolerances):
     """Gammas of row k up to block j and their defect pairs, from its row
     contraction solved against the whole factor of ``a[k+1..j]``, rebuilt
-    from the gammas of the rows below, and clipped to the unit ball."""
+    from the gammas of the rows below, and clipped to the unit ball.  Its
+    blocks are solved against the products of defects, whose kernels are
+    exact, or if that fails, against products rebuilt from the row's tail,
+    whose moduli are accurate next to a near-unit parameter (``_row_extract``)."""
     h, sub = dims[k], dims[k + 1:j + 1]
     below = PositiveSCParams(
         tuple(roots[i, :d, :d] for i, d in enumerate(sub, k + 1)),
@@ -601,7 +658,10 @@ def _rescue_row(blocks, roots, root_pinv, g, dims, k: int, j: int, atol: float,
         BlockShape(sub, sub))
     x = root_pinv[k, :h, :h] @ np.hstack([blocks[k, i, :h, :dims[i]] for i in range(k + 1, j + 1)])
     row = clip_to_contraction(x @ pinv(psd_cholesky(below, tol), tol, atol))
-    return _row_extract(row, sub, tol)
+    try:
+        return _row_extract(row, sub, tol)
+    except NoFactor:
+        return _row_extract(row, sub, tol, tail=True)
 
 
 def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):

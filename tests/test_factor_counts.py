@@ -1,11 +1,14 @@
 """Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
-An extracted row, column or matrix gamma costs two SVDs: one for the
+An extracted row or column gamma costs two SVDs: one for the
 pseudoinverse of its solve, and one of the gamma, which gives its clip and
 both D_Gamma and D_Gamma*.  Positive block matrices are extracted one lag
 at a time, all rows at once, so they pay stacked calls per lag instead:
-the pivots' pseudoinverses, the solves' and the gammas'.  A rebuild takes
+the pivots' pseudoinverses, the solves' and the gammas'.  A block
+contraction T is extracted as the positive matrix [[I, T], [T*, I]], whose
+roots are identities: one norm-2 for the contraction test of T, then the
+same three stacked SVDs per lag of the embedding.  A rebuild takes
 the defects of all its same-shaped gammas from one stacked SVD.  ``eigh``
 is left to the positive roots of diagonal blocks, one stacked call per
 block size.  The pseudoinverses are SVDs of their own, so extraction gates
@@ -107,10 +110,12 @@ def test_matrix_counts(counts):
     grid = scparams.BlockShape((2,) * 8, (2,) * 8)
     counts.clear()
     params = scparams.matrix_parametrize(t, grid)
-    # the norm test of T; two SVDs for each of the 64 gammas; the solve and
-    # the clip of each of the 8 block columns
+    # the norm test of T; the embedding has 16 blocks, so 15 lags of three
+    # stacked SVDs each: the pivots' pseudoinverses (at lag 1 the identity
+    # roots', taken once up front), the solves' and the gammas'
     assert counts["eigh"] == 0
-    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 145
+    assert counts["norm2"] == 1
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 1 + 3 * 15
     counts.clear()
     scparams.matrix_reconstruct(params)
     # the defects of the whole grid from one stacked SVD
@@ -150,6 +155,17 @@ def test_povm_dilate_counts(counts):
     assert counts["eigh"] == 0
     assert counts["svd"] == 0
     assert counts["block"] == 0
+
+
+def test_povm_check_counts(counts):
+    rng = np.random.default_rng(1)
+    q, _ = np.linalg.qr(rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)))
+    vectors = q.conj()
+    counts.clear()
+    dilation.Povm.from_vectors(vectors)
+    # the 64 effects checked by one stacked eigvalsh
+    assert counts["eigvalsh"] == 1
+    assert counts["eigh"] + counts["svd"] == 0
 
 
 def test_channel_simulate_counts(counts):
