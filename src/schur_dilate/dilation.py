@@ -186,8 +186,13 @@ class KrausChannel:
         return bool(np.abs(self.gram - np.eye(self.in_dim)).max() <= DEFAULT_TOL.psd_tol)
 
     def apply(self, rho) -> np.ndarray:
-        """Direct Kraus-sum action, the oracle the dilation is checked against."""
-        rho = as_matrix(rho, "rho")
+        """Direct Kraus-sum action, the oracle the dilation is checked against.
+
+        ``rho`` may be a stack ``(T, n, n)`` of states: one product pair per
+        Kraus operator acts on all of them, and each output is bit-identical
+        to the call on its state alone.
+        """
+        rho = _as_stack(rho, "rho")
         return sum(e @ rho @ dagger(e) for e in self.kraus)
 
 

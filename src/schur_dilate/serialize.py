@@ -20,12 +20,19 @@ POVMs: {"dim": m, "vectors": [[[re, im], ...], ...]}.
 Channels: {"in_dim": n, "out_dim": m, "kraus": [matrix, ...]}.
 Dilations serialize the unitary plus embedding metadata.
 
-Decimal round-trips are not bit-exact; re-parsed values match within
-1e-15 relative.
+Floats are written as ``repr`` writes them, the shortest text that reads
+back as the same double, so re-parsed values match bit for bit.
+
+``dump`` writes what ``json.dump(obj, fh, sort_keys=True)`` plus a newline
+would.  Handed a domain object, it builds the ``*_to_obj`` tree with array
+leaves, the ``(N, 2)`` float views of the complex arrays, and formats
+their data itself, at most ``_CHUNK`` pairs per piece, so no whole
+document is held as one string.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -40,9 +47,65 @@ from .scparams import (
 )
 
 
-def _pairs(a: np.ndarray) -> list:
-    """Row-major ``[re, im]`` pairs of Python floats (``-0.0`` kept)."""
-    return np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist()
+def _pairs(a) -> list:
+    """The list leaf: row-major ``[re, im]`` pairs of Python floats
+    (``-0.0`` kept), the data of the public ``*_to_obj`` trees."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
+
+
+class _Pairs:
+    """The array leaf: the ``(N, 2)`` float view of a complex array, which
+    ``dump`` formats without building the ``_pairs`` list."""
+
+    __slots__ = ("floats", "finite")
+
+    def __init__(self, a):
+        self.floats = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2)
+        self.finite = bool(np.isfinite(self.floats).all())
+
+
+_PARAMS = (RowColParams, MatrixContractionParams, PositiveSCParams)
+
+
+def _tree(obj, leaf):
+    """The ``*_to_obj`` tree of a matrix, parameter set, POVM, channel or
+    dilation, with ``leaf`` making the data of every matrix and vector."""
+    if isinstance(obj, Povm):
+        if obj.vectors is None:
+            return {"dim": obj.dim, "effects": [_tree(e, leaf) for e in obj.effects]}
+        return {"dim": obj.dim, "vectors": [leaf(v) for v in obj.vectors]}
+    if isinstance(obj, KrausChannel):
+        return {"in_dim": obj.in_dim, "out_dim": obj.out_dim,
+                "kraus": [_tree(e, leaf) for e in obj.kraus]}
+    if isinstance(obj, DilationResult):
+        tree = {"kind": obj.kind, "unitary": _tree(obj.unitary, leaf),
+                "system_span": list(obj.system_span), "ancilla_dim": obj.ancilla_dim}
+        if obj.out_dim is not None:
+            tree["out_dim"] = obj.out_dim
+        if obj.kraus_count is not None:
+            tree["kraus_count"] = obj.kraus_count
+        if obj.absorbing_blocks:
+            tree["absorbing_blocks"] = list(obj.absorbing_blocks)
+        if obj.freedom is not None:
+            tree["freedom"] = [_tree(u, leaf) for u in obj.freedom]
+        return tree
+    if isinstance(obj, _PARAMS):
+        if isinstance(obj, RowColParams):
+            kind, gammas = obj.orientation, obj.gammas
+        elif isinstance(obj, MatrixContractionParams):
+            n, m = len(obj.shape.row_dims), len(obj.shape.col_dims)
+            kind, gammas = "matrix", [obj.gammas[i][j] for j in range(m) for i in range(n)]
+        else:
+            kind, gammas = "psd", [g for row in obj.gammas for g in row]
+        tree = {"kind": kind,
+                "shape": {"row_dims": list(obj.shape.row_dims),
+                          "col_dims": list(obj.shape.col_dims)},
+                "gammas": [_tree(g, leaf) for g in gammas]}
+        if kind == "psd":
+            tree["diag_roots"] = [_tree(r, leaf) for r in obj.diag_roots]
+        return tree
+    rows, cols = np.shape(obj)
+    return {"rows": rows, "cols": cols, "data": leaf(obj)}
 
 
 def _complex_array(pairs) -> np.ndarray:
@@ -63,8 +126,7 @@ def _complex_array(pairs) -> np.ndarray:
 
 
 def matrix_to_obj(a: np.ndarray) -> dict:
-    a = np.asarray(a, dtype=complex)
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
+    return _tree(a, _pairs)
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
@@ -79,7 +141,7 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
 
 
 def vector_to_obj(v: np.ndarray) -> list:
-    return _pairs(np.asarray(v, dtype=complex))
+    return _pairs(v)
 
 
 def vector_from_obj(obj) -> np.ndarray:
@@ -87,31 +149,9 @@ def vector_from_obj(obj) -> np.ndarray:
 
 
 def params_to_obj(params) -> dict:
-    shape_obj = {
-        "row_dims": list(params.shape.row_dims),
-        "col_dims": list(params.shape.col_dims),
-    }
-    if isinstance(params, RowColParams):
-        return {
-            "kind": params.orientation,
-            "shape": shape_obj,
-            "gammas": [matrix_to_obj(g) for g in params.gammas],
-        }
-    if isinstance(params, MatrixContractionParams):
-        n = len(params.shape.row_dims)
-        m = len(params.shape.col_dims)
-        gammas = [matrix_to_obj(params.gammas[i][j])
-                  for j in range(m) for i in range(n)]
-        return {"kind": "matrix", "shape": shape_obj, "gammas": gammas}
-    if isinstance(params, PositiveSCParams):
-        gammas = [matrix_to_obj(g) for row in params.gammas for g in row]
-        return {
-            "kind": "psd",
-            "shape": shape_obj,
-            "gammas": gammas,
-            "diag_roots": [matrix_to_obj(r) for r in params.diag_roots],
-        }
-    raise TypeError(f"unsupported parameter object {type(params)!r}")
+    if not isinstance(params, _PARAMS):
+        raise TypeError(f"unsupported parameter object {type(params)!r}")
+    return _tree(params, _pairs)
 
 
 def params_from_obj(obj: dict):
@@ -139,9 +179,7 @@ def params_from_obj(obj: dict):
 
 
 def povm_to_obj(povm: Povm) -> dict:
-    if povm.vectors is None:
-        return {"dim": povm.dim, "effects": [matrix_to_obj(e) for e in povm.effects]}
-    return {"dim": povm.dim, "vectors": [vector_to_obj(v) for v in povm.vectors]}
+    return _tree(povm, _pairs)
 
 
 def povm_from_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> Povm:
@@ -154,11 +192,7 @@ def povm_from_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> Povm:
 
 
 def channel_to_obj(ch: KrausChannel) -> dict:
-    return {
-        "in_dim": ch.in_dim,
-        "out_dim": ch.out_dim,
-        "kraus": [matrix_to_obj(e) for e in ch.kraus],
-    }
+    return _tree(ch, _pairs)
 
 
 def channel_from_obj(obj: dict) -> KrausChannel:
@@ -170,22 +204,7 @@ def channel_from_obj(obj: dict) -> KrausChannel:
 
 
 def dilation_to_obj(result: DilationResult) -> dict:
-    obj = {
-        "kind": result.kind,
-        "unitary": matrix_to_obj(result.unitary),
-        "system_span": list(result.system_span),
-        "ancilla_dim": result.ancilla_dim,
-    }
-    if result.out_dim is not None:
-        obj["out_dim"] = result.out_dim
-    if result.kraus_count is not None:
-        obj["kraus_count"] = result.kraus_count
-    if result.absorbing_blocks:
-        obj["absorbing_blocks"] = list(result.absorbing_blocks)
-    if result.freedom is not None:
-        obj["freedom"] = [matrix_to_obj(result.freedom[0]),
-                          matrix_to_obj(result.freedom[1])]
-    return obj
+    return _tree(result, _pairs)
 
 
 def dilation_from_obj(obj: dict) -> DilationResult:
@@ -205,22 +224,63 @@ def dilation_from_obj(obj: dict) -> DilationResult:
     )
 
 
-_CHUNK = 1024  # list items per json.dumps call when writing long lists
+_CHUNK = 1024  # list items per json.dumps call, float pairs per % call
+
+
+@functools.lru_cache(maxsize=256)
+def _template(pairs: int, head: str = "", tail: str = "") -> str:
+    return head + ", ".join(["[%r, %r]"] * pairs) + tail
+
+
+def _small(obj):
+    """``(text, pairs)`` of a matrix dict holding a finite array leaf of at
+    most ``_CHUNK`` pairs, made with one ``%`` call; else None."""
+    leaf = obj.get("data") if isinstance(obj, dict) else None
+    if not isinstance(leaf, _Pairs) or not leaf.finite or len(leaf.floats) > _CHUNK:
+        return None
+    n = len(leaf.floats)
+    return _template(n, '{"cols": %d, "data": [', '], "rows": %d}') % (
+        obj["cols"], *leaf.floats.ravel().tolist(), obj["rows"]), n
 
 
 def _encode(obj):
-    """Yield the text of ``json.dumps(obj, sort_keys=True)`` in pieces.
+    """Yield the text of ``json.dumps(obj, sort_keys=True)`` in pieces of at
+    most ``_CHUNK`` float pairs, so the document is never held as one string.
 
-    ``json.dump`` runs the pure-Python encoder.  This walk opens dicts and
-    hands long lists to the C encoder slice by slice, and every other value
-    whole, so the document is never held as one string.
+    ``json.dump`` runs the pure-Python encoder.  This walk formats finite
+    array leaves with ``%r``, the text both encoders write for a float:
+    ``_CHUNK`` pairs per call, a small matrix in one call, a short list of
+    them joined.  A leaf with a non-finite entry goes the list way, which
+    writes ``NaN`` and ``Infinity``.  Dicts are opened, other long lists
+    handed to the C encoder slice by slice, and every other value whole.
     """
-    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+    small = _small(obj)
+    if small is not None:
+        yield small[0]
+    elif isinstance(obj, _Pairs):
+        if not obj.finite:
+            yield from _encode(obj.floats.tolist())
+            return
+        yield "["
+        for start in range(0, len(obj.floats), _CHUNK):
+            chunk = obj.floats[start:start + _CHUNK]
+            yield (", " if start else "") + _template(len(chunk)) % tuple(chunk.ravel().tolist())
+        yield "]"
+    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         yield "{"
         for i, key in enumerate(sorted(obj)):
             yield (", " if i else "") + json.dumps(key) + ": "
             yield from _encode(obj[key])
         yield "}"
+    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, _Pairs)):
+        smalls = [_small(item) for item in obj]
+        if all(smalls) and sum(n + 1 for _, n in smalls) <= _CHUNK:
+            yield "[" + ", ".join(text for text, _ in smalls) + "]"
+            return
+        for i, item in enumerate(obj):
+            yield ", " if i else "["
+            yield from _encode(item)
+        yield "]"
     elif isinstance(obj, (list, tuple)) and len(obj) > _CHUNK:
         yield "["
         for start in range(0, len(obj), _CHUNK):
@@ -231,9 +291,16 @@ def _encode(obj):
         yield json.dumps(obj, sort_keys=True)
 
 
-def dump(obj: dict, path) -> None:
+def dump(obj, path) -> None:
     """Write ``obj`` as ``json.dump(obj, fh, sort_keys=True)`` plus a newline
-    would, byte for byte."""
+    would, byte for byte.
+
+    ``obj`` is a JSON tree, or a 2-D ndarray, parameter set, ``Povm``,
+    ``KrausChannel`` or ``DilationResult``, written as its ``*_to_obj``
+    tree would be but formatted from its arrays.
+    """
+    if not isinstance(obj, (dict, list, tuple)):
+        obj = _tree(obj, _Pairs)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_encode(obj))
         fh.write("\n")

@@ -347,6 +347,20 @@ def test_channel_simulate_stack_equals_one_state_at_a_time():
         channel_simulate(result, states[:, :2, :2])
 
 
+@pytest.mark.parametrize("n, m, count", [(3, 2, 4), (8, 8, 8), (16, 16, 16)])
+def test_kraus_apply_stack_equals_one_state_at_a_time(n, m, count):
+    rng = rng_from_seed(92)
+    ch = KrausChannel(in_dim=n, out_dim=m,
+                      kraus=tuple(random_kraus_family(rng, n, m, count)))
+    states = np.stack([random_density(rng, n) for _ in range(20)])
+    stacked = ch.apply(states)
+    assert stacked.shape == (20, m, m)
+    for rho, out in zip(states, stacked):
+        assert out.tobytes() == ch.apply(rho).tobytes()
+    with pytest.raises(ValueError):
+        ch.apply(states[:, :, :, None])
+
+
 def test_dilation_result_keeps_its_unitarity_deviation():
     result = channel_dilate(amplitude_damping())
     assert result.unitarity == unitarity_deviation(result.unitary)

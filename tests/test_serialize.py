@@ -1,14 +1,20 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schur_dilate import serialize
-from schur_dilate.dilation import KrausChannel, Povm, channel_dilate
+from schur_dilate.dilation import DilationResult, KrausChannel, Povm, channel_dilate
 from schur_dilate.sampling import complex_gaussian, random_coisometry, rng_from_seed
 from schur_dilate.scparams import (
     BlockShape,
+    MatrixContractionParams,
+    PositiveSCParams,
+    RowColParams,
     col_parametrize,
     col_reconstruct,
     matrix_parametrize,
@@ -169,3 +175,138 @@ def test_dump_of_a_large_dilation_matches_json_dump(tmp_path):
     obj = serialize.dilation_to_obj(channel_dilate(ch))
     assert obj["unitary"]["rows"] == 272
     assert written(tmp_path, obj) == json_dump_text(obj)
+
+
+# Floats where the text of repr changes form: signed zeros, subnormals and the
+# smallest normal, and both sides of the switches to exponent notation at
+# 1e-4 (1e-05 is the first exponent form) and at 1e16.
+SPECIAL_FLOATS = tuple(
+    sign * x
+    for x in (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+              1e-5, float(np.nextafter(1e-4, 0)), 1e-4,
+              float(np.nextafter(1e16, 0)), 1e16, float(np.nextafter(1e16, np.inf)))
+    for sign in (1.0, -1.0))
+# 0 x n and n x 0 matrices, small ones, and, as often, data longer than
+# 2 * _CHUNK pairs
+SHAPES = st.one_of(st.sampled_from(((0, 3), (3, 0), (0, 0), (1, 1), (2, 3), (4, 4))),
+                   st.just((45, 46)))
+
+
+@st.composite
+def documents(draw):
+    """A domain object of every writer kind, its arrays filled with floats of
+    all magnitudes, the special floats in drawn places and, in some, one
+    non-finite entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    specials = draw(st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=8))
+    nonfinite = [draw(st.sampled_from((None, None, None, np.nan, np.inf, -np.inf)))]
+
+    def matrix(rows, cols):
+        floats = rng.standard_normal(2 * rows * cols) * 10.0 ** rng.integers(-320, 300,
+                                                                           2 * rows * cols)
+        if floats.size:
+            for x in specials:
+                if rng.random() < 0.5:
+                    floats[rng.integers(floats.size)] = x
+            if nonfinite[0] is not None:
+                floats[0], nonfinite[0] = nonfinite[0], None
+        return floats.view(complex).reshape(rows, cols)
+
+    def dims():
+        return draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+
+    kind = draw(st.sampled_from(("matrix", "row", "column", "grid", "psd", "povm",
+                                 "channel", "dilation")))
+    if kind == "matrix":
+        return kind, matrix(*draw(SHAPES))
+    if kind in ("row", "column"):
+        r, cs = draw(st.integers(1, 3)), dims()
+        gammas = tuple(matrix(r, c) if kind == "row" else matrix(c, r) for c in cs)
+        shape = BlockShape((r,), tuple(cs)) if kind == "row" else BlockShape(tuple(cs), (r,))
+        return kind, RowColParams(kind, gammas, shape)
+    if kind == "grid":
+        rs, cs = dims(), dims()
+        grid = tuple(tuple(matrix(r, c) for c in cs) for r in rs)
+        return kind, MatrixContractionParams(grid, BlockShape(tuple(rs), tuple(cs)))
+    if kind == "psd":
+        ds = dims()
+        rows = tuple(tuple(matrix(d, e) for e in ds[i + 1:]) for i, d in enumerate(ds))
+        roots = tuple(matrix(d, d) for d in ds)
+        return kind, PositiveSCParams(roots, rows, BlockShape(tuple(ds), tuple(ds)))
+    # the validated objects start valid and are then given the drawn arrays:
+    # the writers format whatever arrays an object holds
+    if kind == "povm":
+        obj, dim = Povm.from_vectors(list(np.eye(2))), draw(st.integers(1, 3))
+        count = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            fields = {"vectors": tuple(matrix(1, dim)[0] for _ in range(count))}
+        else:
+            fields = {"vectors": None, "effects": tuple(matrix(dim, dim) for _ in range(count))}
+        fields["dim"] = dim
+    elif kind == "channel":
+        obj = KrausChannel(2, 2, (np.eye(2),))
+        n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        fields = {"in_dim": n, "out_dim": m,
+                  "kraus": tuple(matrix(m, n) for _ in range(draw(st.integers(1, 3))))}
+    else:
+        obj = DilationResult("channel", np.eye(4), (0, 2), 2, freedom=(np.eye(2), np.eye(4)),
+                             out_dim=2, kraus_count=1, absorbing_blocks=(1,))
+        fields = {"unitary": matrix(*draw(SHAPES)),
+                  "freedom": (matrix(2, 2), matrix(4, 4))}
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return kind, obj
+
+
+TO_OBJ = {"matrix": serialize.matrix_to_obj, "row": serialize.params_to_obj,
+          "column": serialize.params_to_obj, "grid": serialize.params_to_obj,
+          "psd": serialize.params_to_obj, "povm": serialize.povm_to_obj,
+          "channel": serialize.channel_to_obj, "dilation": serialize.dilation_to_obj}
+PAIR = re.compile(r"\[[^][]*, [^][]*\]")
+
+
+def dumped_pieces(obj) -> list:
+    """The pieces ``dump`` passes to ``writelines``, then the final newline."""
+    pieces = []
+
+    class Recorder(io.StringIO):
+        def writelines(self, lines):
+            pieces.extend(lines)
+
+        def write(self, text):
+            pieces.append(text)
+
+    serialize.open = lambda *args, **kwargs: Recorder()
+    try:
+        serialize.dump(obj, "unused.json")
+    finally:
+        del serialize.open
+    return pieces
+
+
+def psd16():
+    """120 gammas of 16 pairs: more pairs than one piece holds."""
+    rng = rng_from_seed(108)
+    g = complex_gaussian(rng, 64, 64)
+    return psd_parametrize(dagger(g) @ g, BlockShape((4,) * 16, (4,) * 16))
+
+
+def long_nonfinite():
+    a = complex_gaussian(rng_from_seed(109), 45, 46)
+    a[44, 45] = complex(0.0, np.nan)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+@example(("psd", psd16()))
+@example(("matrix", long_nonfinite()))
+def test_dump_from_the_arrays_matches_json_dump_of_the_public_tree(doc):
+    kind, obj = doc
+    pieces = dumped_pieces(obj)
+    assert "".join(pieces) == json_dump_text(TO_OBJ[kind](obj))
+    # no piece holds more than one _CHUNK-pair chunk's text: the longest
+    # float text is 24 characters, so a pair with its separator takes 54
+    for piece in pieces:
+        assert len(PAIR.findall(piece)) <= serialize._CHUNK
+        assert len(piece) <= 54 * serialize._CHUNK
