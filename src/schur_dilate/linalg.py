@@ -191,12 +191,7 @@ def rank_rcond(a: np.ndarray, tol: Tolerances = DEFAULT_TOL, atol: float = 0.0) 
     ``atol / ||a||_F``.  Since ``sigma_max <= ||a||_F``, no singular value
     above ``atol`` is cut by that floor.
     """
-    rcond = tol.rank_tol if tol.rank_tol is not None else max(a.shape) * np.finfo(float).eps
-    if atol > 0:
-        scale = frob(a)
-        if scale > 0:
-            rcond = max(rcond, atol / scale)
-    return rcond
+    return float(_rank_rconds(max(a.shape), np.array(frob(a)), tol, atol))
 
 
 def _rank_rconds(side, scale: np.ndarray, tol: Tolerances, atol=0.0) -> np.ndarray:

@@ -47,7 +47,8 @@ and ``with_freedom``.
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
 relevant range, and extracted factors with norm in ``(1, 1 + CLIP_SLACK]``
-are clipped back to the unit ball.
+are clipped back to the unit ball, to norm 1 up to rounding: the clipped
+factor is rebuilt from its SVD, so its norm can read a few eps above 1.0.
 """
 
 from __future__ import annotations

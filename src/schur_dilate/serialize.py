@@ -24,9 +24,10 @@ Floats are written as ``repr`` writes them, the shortest text that reads
 back as the same double, so re-parsed values match bit for bit.
 
 ``dump`` writes what ``json.dump(obj, fh, sort_keys=True)`` plus a newline
-would.  Handed a domain object, it builds the ``*_to_obj`` tree with array
-leaves, the ``(N, 2)`` float views of the complex arrays, and formats
-their data itself, at most ``_CHUNK`` pairs per piece, so no whole
+would.  Handed a domain object, it has the encoder write the ``*_to_obj``
+tree with a numbered hole, the string ``"\\0<i>"``, for each array, and
+fills the holes with the arrays' ``[re, im]`` pairs: grouped across holes
+into pieces of at most ``_CHUNK`` pairs, one ``%`` call each, so no whole
 document is held as one string.
 """
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 
 import numpy as np
 
@@ -47,21 +49,16 @@ from .scparams import (
 )
 
 
+def _floats(a) -> np.ndarray:
+    """The ``(N, 2)`` float view of a complex array: its row-major
+    ``[re, im]`` pairs."""
+    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2)
+
+
 def _pairs(a) -> list:
-    """The list leaf: row-major ``[re, im]`` pairs of Python floats
-    (``-0.0`` kept), the data of the public ``*_to_obj`` trees."""
-    return np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2).tolist()
-
-
-class _Pairs:
-    """The array leaf: the ``(N, 2)`` float view of a complex array, which
-    ``dump`` formats without building the ``_pairs`` list."""
-
-    __slots__ = ("floats", "finite")
-
-    def __init__(self, a):
-        self.floats = np.ascontiguousarray(a, dtype=complex).view(float).reshape(-1, 2)
-        self.finite = bool(np.isfinite(self.floats).all())
+    """The list leaf of the public ``*_to_obj`` trees: the pairs as Python
+    floats (``-0.0`` kept)."""
+    return _floats(a).tolist()
 
 
 _PARAMS = (RowColParams, MatrixContractionParams, PositiveSCParams)
@@ -224,71 +221,47 @@ def dilation_from_obj(obj: dict) -> DilationResult:
     )
 
 
-_CHUNK = 1024  # list items per json.dumps call, float pairs per % call
+_CHUNK = 1024  # float pairs per % call
+_PAIR_TEXT = 54  # longest "[re, im]" text, 24-character floats, plus its ", "
+_HOLE = re.compile(r'"\\u0000(\d+)"')  # a hole as json.dumps writes it
 
 
 @functools.lru_cache(maxsize=256)
-def _template(pairs: int, head: str = "", tail: str = "") -> str:
-    return head + ", ".join(["[%r, %r]"] * pairs) + tail
+def _template(pairs: int, head: str) -> str:
+    return head + ", ".join(["[%r, %r]"] * pairs)
 
 
-def _small(obj):
-    """``(text, pairs)`` of a matrix dict holding a finite array leaf of at
-    most ``_CHUNK`` pairs, made with one ``%`` call; else None."""
-    leaf = obj.get("data") if isinstance(obj, dict) else None
-    if not isinstance(leaf, _Pairs) or not leaf.finite or len(leaf.floats) > _CHUNK:
-        return None
-    n = len(leaf.floats)
-    return _template(n, '{"cols": %d, "data": [', '], "rows": %d}') % (
-        obj["cols"], *leaf.floats.ravel().tolist(), obj["rows"]), n
+def _runs(parts, arrays):
+    """The document as ``(format, values, cost)`` runs: the skeleton text
+    between holes, with the holes' brackets, and each hole's pairs
+    ``_CHUNK`` at a time.  ``cost`` bounds the run's length, a pair being
+    charged ``_PAIR_TEXT`` characters."""
+    for i, part in enumerate(parts):
+        if i % 2 == 0:
+            text = ("]" if i else "") + part + ("[" if i < len(parts) - 1 else "")
+            yield text.replace("%", "%%"), [], len(text)
+            continue
+        floats = arrays[int(part)]
+        for start in range(0, len(floats), _CHUNK):
+            head, chunk = ", " if start else "", floats[start:start + _CHUNK]
+            if np.isfinite(chunk).all():
+                yield _template(len(chunk), head), chunk.ravel().tolist(), _PAIR_TEXT * len(chunk)
+            else:  # the encoder writes NaN and Infinity
+                yield head + json.dumps(chunk.tolist())[1:-1], [], _PAIR_TEXT * len(chunk)
 
 
-def _encode(obj):
-    """Yield the text of ``json.dumps(obj, sort_keys=True)`` in pieces of at
-    most ``_CHUNK`` float pairs, so the document is never held as one string.
-
-    ``json.dump`` runs the pure-Python encoder.  This walk formats finite
-    array leaves with ``%r``, the text both encoders write for a float:
-    ``_CHUNK`` pairs per call, a small matrix in one call, a short list of
-    them joined.  A leaf with a non-finite entry goes the list way, which
-    writes ``NaN`` and ``Infinity``.  Dicts are opened, other long lists
-    handed to the C encoder slice by slice, and every other value whole.
-    """
-    small = _small(obj)
-    if small is not None:
-        yield small[0]
-    elif isinstance(obj, _Pairs):
-        if not obj.finite:
-            yield from _encode(obj.floats.tolist())
-            return
-        yield "["
-        for start in range(0, len(obj.floats), _CHUNK):
-            chunk = obj.floats[start:start + _CHUNK]
-            yield (", " if start else "") + _template(len(chunk)) % tuple(chunk.ravel().tolist())
-        yield "]"
-    elif isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        yield "{"
-        for i, key in enumerate(sorted(obj)):
-            yield (", " if i else "") + json.dumps(key) + ": "
-            yield from _encode(obj[key])
-        yield "}"
-    elif isinstance(obj, (list, tuple)) and obj and isinstance(obj[0], (dict, _Pairs)):
-        smalls = [_small(item) for item in obj]
-        if all(smalls) and sum(n + 1 for _, n in smalls) <= _CHUNK:
-            yield "[" + ", ".join(text for text, _ in smalls) + "]"
-            return
-        for i, item in enumerate(obj):
-            yield ", " if i else "["
-            yield from _encode(item)
-        yield "]"
-    elif isinstance(obj, (list, tuple)) and len(obj) > _CHUNK:
-        yield "["
-        for start in range(0, len(obj), _CHUNK):
-            yield (", " if start else "") + json.dumps(
-                obj[start:start + _CHUNK], sort_keys=True)[1:-1]
-        yield "]"
-    else:
-        yield json.dumps(obj, sort_keys=True)
+def _pieces(runs):
+    """Group ``(format, values, cost)`` runs into pieces costing at most
+    ``_PAIR_TEXT * _CHUNK`` characters, one ``%`` call each."""
+    fmt, values, room = [], [], _PAIR_TEXT * _CHUNK
+    for text, vals, cost in runs:
+        if cost > room and fmt:
+            yield "".join(fmt) % tuple(values)
+            fmt, values, room = [], [], _PAIR_TEXT * _CHUNK
+        fmt.append(text)
+        values += vals
+        room -= cost
+    yield "".join(fmt) % tuple(values)
 
 
 def dump(obj, path) -> None:
@@ -297,12 +270,22 @@ def dump(obj, path) -> None:
 
     ``obj`` is a JSON tree, or a 2-D ndarray, parameter set, ``Povm``,
     ``KrausChannel`` or ``DilationResult``, written as its ``*_to_obj``
-    tree would be but formatted from its arrays.
+    tree would be: the encoder writes the tree with a numbered hole for
+    each array, and the holes are filled from the arrays.
     """
-    if not isinstance(obj, (dict, list, tuple)):
-        obj = _tree(obj, _Pairs)
+    if isinstance(obj, (dict, list, tuple)):
+        pieces = json.JSONEncoder(sort_keys=True).iterencode(obj)  # as json.dump does
+    else:
+        arrays = []
+
+        def hole(a):
+            arrays.append(_floats(a))
+            return f"\0{len(arrays) - 1}"
+
+        skeleton = json.dumps(_tree(obj, hole), sort_keys=True)
+        pieces = _pieces(_runs(_HOLE.split(skeleton), arrays))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_encode(obj))
+        fh.writelines(pieces)
         fh.write("\n")
 
 

@@ -260,6 +260,16 @@ def test_matrix_roundtrip_parameters_near_one():
     assert_near_one_roundtrip(3603)
 
 
+def test_clipped_gammas_have_norm_one_up_to_rounding():
+    # clipping rebuilds U min(s, 1) V*, which rounds again: 34 of these 100
+    # grids have a gamma of norm above 1.0, the largest by 4 eps
+    eps = np.finfo(float).eps
+    for seed in range(100):
+        t, shape = near_one_grid(seed)
+        params = matrix_parametrize(t, shape)
+        assert all(opnorm(g) <= 1 + 8 * eps for row in params.gammas for g in row), seed
+
+
 @pytest.mark.parametrize("seed", [11474, 15058])
 def test_matrix_roundtrip_unit_parameter_after_a_near_unit_one(seed):
     # Row block 1 is a single row whose parameters are 0, 0, 1 - 1.6e-7 and

@@ -310,3 +310,11 @@ def test_dump_from_the_arrays_matches_json_dump_of_the_public_tree(doc):
     for piece in pieces:
         assert len(PAIR.findall(piece)) <= serialize._CHUNK
         assert len(piece) <= 54 * serialize._CHUNK
+
+
+def test_small_matrices_share_pieces():
+    # psd16 holds 136 matrices of 16 pairs, 2176 pairs in all: one % call
+    # per _CHUNK pairs, whatever the leaf sizes, gives at most 4 pieces
+    # (3 here), then the newline
+    pieces = dumped_pieces(psd16())
+    assert len(pieces) <= 5 and pieces[-1] == "\n"
