@@ -36,13 +36,17 @@ parameters of that matrix that couples row blocks to column blocks, so
 matrix extraction is the same stages, one anti-diagonal ``i + j`` of the
 grid per lag, at three stacked SVDs per lag and no ``eigh``.
 A rebuild knows all its gammas up front and takes their defects from one
-stacked SVD (one per distinct gamma shape).  One walk over a row of gammas
-and their defect pairs gives the row contraction ``T`` and both its natural
-defect factors, the block lower-triangular ``F`` (F F* = I - T*T) and
-``M = D_{G_1*} ... D_{G_n*}`` (M M* = I - T T*), at four products per
-gamma; a walk over a block column gives ``T x`` and ``F* x`` instead
-(``_column_walk``).  The unitary split reassembles through ``julia_block``
-and ``with_freedom``.
+stacked SVD (one per distinct gamma shape).  A row contraction is a 1 x m
+grid and a column contraction an n x 1 grid, so every rebuild is one walk
+over a grid (``_grid_walk``): block row j of ``T*`` is the row contraction
+of block column j's adjoint gammas applied to ``x = F_{j-1}* ... F_0*``,
+``F_i`` the lower defect factor of that row, and ``_column_walk`` gives it
+and the next ``x`` at two products per gamma.  The last ``x`` is the block
+upper-triangular ``H`` with H*H = I - T T*, and ``G`` with G*G = I - T*T is
+``H`` of the adjoint-transposed grid, which rebuilds ``T*`` from the same
+defect pairs, swapped.  Positive matrices walk their block columns the
+same way, every row of a lag at once (``psd_cholesky``).  The unitary
+split reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
@@ -58,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contraction import (
-    DefectPair,
     _Overshoot,
     _contraction_norm,
     _corner_mask,
@@ -113,6 +116,18 @@ def _offsets(dims) -> list[int]:
     return out
 
 
+def _check_shapes(kind: str, rows, shapes) -> None:
+    """ValueError unless row i of ``rows`` holds one matrix of each shape in
+    ``shapes[i]``."""
+    counts, expected = [len(row) for row in rows], [len(row) for row in shapes]
+    if counts != expected:
+        raise ValueError(f"{kind} parameters need {expected} gammas per row, got {counts}")
+    for row, want in zip(rows, shapes):
+        for g, s in zip(row, want):
+            if g.shape != s:
+                raise ValueError(f"{kind} parameter of shape {g.shape} where {s} is needed")
+
+
 @dataclass(frozen=True)
 class BlockShape:
     """Partition of the row and column index ranges into blocks."""
@@ -156,6 +171,8 @@ class RowColParams:
         if self.orientation not in ("row", "column"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
         object.__setattr__(self, "gammas", tuple(_freeze(g) for g in self.gammas))
+        _check_shapes(self.orientation, _as_grid(self),
+                      [[(r, c) for c in self.shape.col_dims] for r in self.shape.row_dims])
 
 
 @dataclass(frozen=True)
@@ -171,6 +188,8 @@ class MatrixContractionParams:
 
     def __post_init__(self):
         object.__setattr__(self, "gammas", _freeze_grid(self.gammas))
+        _check_shapes("matrix", self.gammas,
+                      [[(r, c) for c in self.shape.col_dims] for r in self.shape.row_dims])
 
     def column(self, j: int) -> tuple[np.ndarray, ...]:
         return tuple(self.gammas[i][j] for i in range(len(self.shape.row_dims)))
@@ -194,6 +213,11 @@ class PositiveSCParams:
             raise ShapeUnsupported("positive block matrices need square blocks")
         object.__setattr__(self, "diag_roots", tuple(_freeze(r) for r in self.diag_roots))
         object.__setattr__(self, "gammas", _freeze_grid(self.gammas))
+        dims = self.dims
+        _check_shapes("psd", (self.diag_roots,), ([(d, d) for d in dims],))
+        # row i couples block i to the blocks after it, so the last row is empty
+        _check_shapes("psd", self.gammas,
+                      [[(d, e) for e in dims[i + 1:]] for i, d in enumerate(dims)])
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -255,51 +279,9 @@ def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
     return gammas, pairs
 
 
-def _defect_grid(rows, tol: Tolerances) -> list[list[DefectPair]]:
-    """Defect pairs of rows of gammas, shaped like ``rows``.
-
-    One stacked SVD per distinct gamma shape, bit-identical to a
-    ``defects`` call per gamma.
-    """
-    flat = [g for row in rows for g in row]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(flat):
-        groups.setdefault(g.shape, []).append(i)
-    pairs: list = [None] * len(flat)
-    for idx in groups.values():
-        stack = defects(np.stack([flat[i] for i in idx]), tol)
-        for j, i in enumerate(idx):
-            pairs[i] = DefectPair(stack.d_t[j], stack.d_t_star[j])
-    it = iter(pairs)
-    return [[next(it) for _ in row] for row in rows]
-
-
-def _row_walk(gammas, pairs, h: int):
-    """Row contraction T and its natural defect factors (F, M), one pass.
-
-    ``F`` is block lower-triangular with F F* = I - T*T: D_{G_i} on the
-    diagonal, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j below it; and
-    ``M = D_{G_1*} ... D_{G_n*}`` has M M* = I - T T*.  The walk keeps the
-    running row ``w = [D_{G_{i-1}*} ... D_{G_{j+1}*} G_j]_{j<i}`` and ``M``
-    so far, so each gamma costs four products and no factorization:
-    ``T_i = M G_i``, ``F_{i,<i} = -G_i* w``, ``w <- [D_{G_i*} w, G_i]`` and
-    ``M <- M D_{G_i*}``.  ``pairs[i]`` holds the defects of ``G_i``.  For a
-    column contraction C, the walk of its row adjoint C* gives F F* = I - C C*.
-    """
-    off = _offsets([g.shape[1] for g in gammas])
-    t = np.empty((h, off[-1]), dtype=complex)
-    f = np.zeros((off[-1], off[-1]), dtype=complex)
-    w = np.empty((h, off[-1]), dtype=complex)
-    m = np.eye(h, dtype=complex)
-    for i, (g, pair) in enumerate(zip(gammas, pairs)):
-        a, b = off[i], off[i + 1]
-        t[:, a:b] = m @ g
-        f[a:b, :a] = -dagger(g) @ w[:, :a]
-        f[a:b, a:b] = pair.d_t
-        w[:, :a] = pair.d_t_star @ w[:, :a]
-        w[:, a:b] = g
-        m = m @ pair.d_t_star
-    return t, f, m
+def _as_grid(params: RowColParams):
+    """Row parameters as a 1 x m grid, column parameters as an n x 1 grid."""
+    return (params.gammas,) if params.orientation == "row" else tuple((g,) for g in params.gammas)
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -315,12 +297,7 @@ def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
 def row_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "row":
         raise ValueError("row_reconstruct needs row-oriented parameters")
-    gammas = params.gammas
-    return _row_walk(gammas, _defect_grid([gammas], tol)[0], params.shape.rows)[0]
-
-
-def _adjoints(gammas) -> list[np.ndarray]:
-    return [dagger(g) for g in gammas]
+    return _grid_rebuild(_as_grid(params), params.shape, tol)
 
 
 def col_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
@@ -334,28 +311,25 @@ def col_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
     if len(shape.col_dims) != 1:
         raise ShapeUnsupported("column contractions have a single block column")
     gammas, _ = _row_extract(dagger(t), shape.row_dims, tol)
-    return RowColParams("column", tuple(_adjoints(gammas)), shape)
+    return RowColParams("column", tuple(dagger(g) for g in gammas), shape)
 
 
 def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if params.orientation != "column":
         raise ValueError("col_reconstruct needs column-oriented parameters")
-    gammas = _adjoints(params.gammas)
-    return dagger(_row_walk(gammas, _defect_grid([gammas], tol)[0], params.shape.cols)[0])
+    return _grid_rebuild(_as_grid(params), params.shape, tol)
 
 
 def row_defect_factors(params: RowColParams, tol: Tolerances = DEFAULT_TOL):
-    """Natural factors (F, M) with F F* = I - T*T and M M* = I - T T*.
+    """Natural factors (F, M) with F F* = I - T*T and M M* = I - T T*: the
+    adjoints ``(G*, H*)`` of the parameters' grid (``_grid_rebuild``).
 
     For row parameters F is block lower-triangular and M = D_{G_1*} ...
-    D_{G_n*} is the plain product of codomain defects; one walk over the
-    gammas gives T, F and M at four products per gamma.  Column parameters
-    are the row parameters of T*, so the two factors swap roles.
+    D_{G_n*}; column parameters are the row parameters of T*, so the two
+    swap roles.
     """
-    row = params.orientation == "row"
-    gs = params.gammas if row else _adjoints(params.gammas)
-    _, lower, product = _row_walk(gs, _defect_grid([gs], tol)[0], gs[0].shape[0])
-    return (lower, product) if row else (product, lower)
+    g, h = _grid_rebuild(_as_grid(params), params.shape, tol, factors=True)
+    return dagger(g), dagger(h)
 
 
 # ---------------------------------------------------------------------------
@@ -421,41 +395,60 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
 
 
 def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    shape = params.shape
-    ncols = len(shape.col_dims)
-    columns = [_adjoints(params.column(j)) for j in range(ncols)]
-    column_pairs = _defect_grid(columns, tol)
-    dacc = np.eye(shape.rows, dtype=complex)
-    cols = []
-    for j, d in enumerate(shape.col_dims):
-        t, f, _ = _row_walk(columns[j], column_pairs[j], d)
-        cols.append(dacc @ dagger(t))
-        if j + 1 < ncols:  # no block column left to build
-            dacc = dacc @ f
-    return np.hstack(cols)
+    return _grid_rebuild(params.gammas, params.shape, tol)
 
 
 def matrix_defects_2x2(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL):
     """Upper-triangular factors (G, H) with G*G = I - T*T and H*H = I - T T*.
 
-    Only defined for 2 x 2 block parameters, where both factors have the
-    closed forms built from single defects.
+    Only defined for 2 x 2 block parameters; ``_grid_rebuild`` walks any grid.
     """
     shape = params.shape
     if len(shape.row_dims) != 2 or len(shape.col_dims) != 2:
         raise ShapeUnsupported("2 x 2 block parameters required")
-    (g1, g2), (g3, g4) = params.gammas
-    (p1, p2), (p3, p4) = _defect_grid(params.gammas, tol)
-    factor_t = np.block([
-        [p3.d_t @ p1.d_t, -p3.d_t @ dagger(g1) @ g2 - dagger(g3) @ g4 @ p2.d_t],
-        [np.zeros(shape.col_dims[::-1]), p4.d_t @ p2.d_t],
-    ])
-    factor_t_star = np.block([
-        [p2.d_t_star @ p1.d_t_star,
-         -p2.d_t_star @ g1 @ dagger(g3) - g2 @ dagger(g4) @ p3.d_t_star],
-        [np.zeros(shape.row_dims[::-1]), p4.d_t_star @ p3.d_t_star],
-    ])
-    return factor_t, factor_t_star
+    return _grid_rebuild(params.gammas, shape, tol, factors=True)
+
+
+def _grid_walk(g, d_t, d_t_star, dims, out_dims):
+    """``(T*, H)`` of the block contraction T whose block column j has the
+    adjoint gammas ``g[j]``, zero-padded with their defects as
+    ``_padded_gammas`` makes them, over row blocks ``dims`` and column
+    blocks ``out_dims``.
+
+    Block row j of T* is ``C_j* x``, ``C_j`` the column contraction of block
+    column j and ``x = F_{j-1}* ... F_0*``, ``F_i`` the lower defect factor
+    of ``C_i*``; one ``_column_walk`` gives it and the next x.  The last x
+    is the block upper-triangular H, H*H = I - T T*.
+    """
+    side = g.shape[-1]
+    idx = _pad_index(dims, side)
+    x = np.zeros((len(dims) * side, len(idx)), dtype=complex)
+    x[idx, np.arange(len(idx))] = 1
+    x = x.reshape(1, len(dims), side, len(idx))
+    rows = []
+    for j, d in enumerate(out_dims):
+        top, x = _column_walk(g[j:j + 1], d_t[j:j + 1], d_t_star[j:j + 1], x)
+        rows.append(top[0, :d])
+    return np.vstack(rows), x.reshape(-1, len(idx))[idx]
+
+
+def _grid_rebuild(grid, shape: BlockShape, tol: Tolerances, factors: bool = False):
+    """T from its grid of gammas, or with ``factors`` its block
+    upper-triangular defect factors (G, H), G*G = I - T*T and H*H = I - T T*.
+
+    The walk of the grid gives T* and H (``_grid_walk``).  The
+    adjoint-transposed grid ``gammas[i][j]*`` rebuilds T*: its block column
+    i has the adjoint gammas ``gammas[i][j]`` and the defect pairs swapped,
+    so its walk gives T and G from the same defects.
+    """
+    rd, cd = shape.row_dims, shape.col_dims
+    walk = _padded_gammas([[dagger(row[j]) for row in grid] for j in range(len(cd))],
+                          max(rd + cd), tol)
+    t_star, h = _grid_walk(*walk, rd, cd)
+    if not factors:
+        return dagger(t_star)
+    g, d_t, d_t_star = (a.swapaxes(0, 1) for a in walk)
+    return _grid_walk(dagger(g), d_t_star, d_t, cd, rd)[1], h
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +523,26 @@ def _padded_roots(diag_blocks, dims, side: int, tol: Tolerances, cut: float) -> 
     return roots
 
 
-def _pad_grid(rows, side: int) -> np.ndarray:
-    """Rows of matrices as an ``(len(rows), len(rows), side, side)`` grid of
-    zero-padded blocks, ``[k, m]`` holding ``rows[k][m]``."""
-    out = np.zeros((len(rows), len(rows), side, side), dtype=complex)
+def _padded_gammas(rows, side: int, tol: Tolerances) -> np.ndarray:
+    """Rows of gammas, of any lengths, and their defects as zero-padded
+    grids ``g, d_t, d_t_star`` of shape ``(len(rows), longest row, side,
+    side)``, ``[k, m]`` holding the m-th gamma of row k.
+
+    One stacked SVD per distinct gamma shape, bit-identical to a
+    ``defects`` call per gamma.
+    """
+    out = np.zeros((3, len(rows), max(map(len, rows), default=0), side, side), dtype=complex)
+    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for k, row in enumerate(rows):
         for m, g in enumerate(row):
-            out[k, m, :g.shape[0], :g.shape[1]] = g
+            groups.setdefault(g.shape, []).append((k, m))
+    for (p, q), at in groups.items():
+        k, m = (list(i) for i in zip(*at))
+        stack = np.stack([rows[i][j] for i, j in at])
+        pair = defects(stack, tol)
+        out[0, k, m, :p, :q] = stack
+        out[1, k, m, :q, :q] = pair.d_t
+        out[2, k, m, :p, :p] = pair.d_t_star
     return out
 
 
@@ -545,12 +551,13 @@ def _column_walk(g, d_t, d_t_star, x):
 
     ``g[k, m]`` is the m-th gamma of row k, ``d_t[k, m]`` and
     ``d_t_star[k, m]`` its defects; ``T`` is the row's contraction and ``F``
-    its lower defect factor (``_row_walk``).  ``x[k, m]`` is the m-th block
-    of a block column per row.  Walking m from the last gamma to the first,
-    with ``u = 0``: ``(F* x)_m = D_{G_m} x_m - G_m* u`` and
-    ``u <- G_m x_m + D_{G_m*} u``; the final ``u`` is ``T x``.  The products
-    with x are taken for all m at once, so each step costs two products,
-    stacked over the rows.
+    its block lower-triangular defect factor (F F* = I - T*T): D_{G_i} on
+    the diagonal, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j below it.
+    ``x[k, m]`` is the m-th block of a block column per row, of any width.
+    Walking m from the last gamma to the first, with ``u = 0``: ``(F* x)_m
+    = D_{G_m} x_m - G_m* u`` and ``u <- G_m x_m + D_{G_m*} u``; the final
+    ``u`` is ``T x``.  The products with x are taken for all m at once, so
+    each step costs two products, stacked over the rows.
     """
     gx = g @ x
     lower = d_t @ x
@@ -779,11 +786,7 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     full = np.zeros((n, side, n, side), dtype=complex)
     for i, root in enumerate(params.diag_roots):
         full[i, :dims[i], i, :dims[i]] = root
-    rows = params.gammas[:-1]
-    pairs = _defect_grid(rows, tol)
-    g = _pad_grid(rows, side)
-    d_t = _pad_grid([[p.d_t for p in row] for row in pairs], side)
-    d_t_star = _pad_grid([[p.d_t_star for p in row] for row in pairs], side)
+    g, d_t, d_t_star = _padded_gammas(params.gammas[:-1], side, tol)
     cols = full[1:, :, 1:].diagonal(axis1=0, axis2=2).transpose(2, 0, 1)[:, np.newaxis]
     for lag in range(1, n):
         rows = n - lag

@@ -34,6 +34,7 @@ document is held as one string.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import re
 
@@ -157,19 +158,13 @@ def params_from_obj(obj: dict):
     gammas = [matrix_from_obj(g) for g in obj.get("gammas", [])]
     if kind in ("row", "column"):
         return RowColParams(kind, tuple(gammas), shape)
+    # a count that does not fit the shape leaves a row that fails its check
+    n = len(shape.row_dims)
     if kind == "matrix":
-        n, m = len(shape.row_dims), len(shape.col_dims)
-        if len(gammas) != n * m:
-            raise ValueError(f"matrix kind expects {n * m} gammas, got {len(gammas)}")
-        grid = tuple(tuple(gammas[j * n + i] for j in range(m)) for i in range(n))
-        return MatrixContractionParams(grid, shape)
+        return MatrixContractionParams(tuple(tuple(gammas[i::n]) for i in range(n)), shape)
     if kind == "psd":
-        n = len(shape.row_dims)
-        expected = n * (n - 1) // 2
-        if len(gammas) != expected:
-            raise ValueError(f"psd kind expects {expected} gammas, got {len(gammas)}")
         it = iter(gammas)
-        rows = [tuple(next(it) for _ in range(n - i - 1)) for i in range(n)]
+        rows = [tuple(itertools.islice(it, n - i - 1)) for i in range(n - 1)] + [tuple(it)]
         roots = tuple(matrix_from_obj(r) for r in obj["diag_roots"])
         return PositiveSCParams(roots, tuple(rows), shape)
     raise ValueError(f"unknown params kind {kind!r}")

@@ -8,8 +8,11 @@ at a time, all rows at once, so they pay stacked calls per lag instead:
 the pivots' pseudoinverses, the solves' and the gammas'.  A block
 contraction T is extracted as the positive matrix [[I, T], [T*, I]], whose
 roots are identities: one norm-2 for the contraction test of T, then the
-same three stacked SVDs per lag of the embedding.  A rebuild takes
-the defects of all its same-shaped gammas from one stacked SVD.  ``eigh``
+same three stacked SVDs per lag of the embedding.  Every rebuild, of a
+row, column, block or positive matrix, is one walk over its grid of gammas
+at products only, with the defects of all its same-shaped gammas from one
+stacked SVD; the two defect factors of a grid walk the grid and its
+adjoint-transposed grid on the same defects.  ``eigh``
 is left to the positive roots of diagonal blocks, one stacked call per
 block size.  The pseudoinverses are SVDs of their own, so extraction gates
 count ``svd``, ``pinv`` and ``norm2`` together.  The counts below are
@@ -121,6 +124,42 @@ def test_matrix_counts(counts):
     # the defects of the whole grid from one stacked SVD
     assert counts["eigh"] == 0
     assert counts["svd"] == 1
+    assert counts["pinv"] + counts["norm2"] == 0
+
+
+def rebuild_inputs():
+    """Row, column and 2 x 2 grid parameters with two gamma shapes each."""
+    rng = np.random.default_rng(4)
+
+    def gamma(p, q):
+        g = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
+        return 0.9 * g / np.linalg.norm(g, 2)
+
+    dims = (2, 3, 2, 3)
+    row = scparams.RowColParams("row", [gamma(4, d) for d in dims],
+                                scparams.BlockShape((4,), dims))
+    column = scparams.RowColParams("column", [gamma(d, 4) for d in dims],
+                                   scparams.BlockShape(dims, (4,)))
+    grid = scparams.MatrixContractionParams(
+        [[gamma(2, 2), gamma(2, 2)], [gamma(3, 2), gamma(3, 2)]],
+        scparams.BlockShape((2, 3), (2, 2)))
+    return row, column, grid
+
+
+@pytest.mark.parametrize("rebuild, kind", [
+    (scparams.row_reconstruct, "row"),
+    (scparams.col_reconstruct, "column"),
+    (scparams.row_defect_factors, "row"),
+    (scparams.row_defect_factors, "column"),
+    (scparams.matrix_defects_2x2, "grid"),
+])
+def test_rebuild_counts(counts, rebuild, kind):
+    params = dict(zip(("row", "column", "grid"), rebuild_inputs()))[kind]
+    counts.clear()
+    rebuild(params)
+    # one stacked SVD per gamma shape; both defect factors share it
+    assert counts["eigh"] == 0
+    assert counts["svd"] == 2
     assert counts["pinv"] + counts["norm2"] == 0
 
 

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from reference_rebuild import matrix_rebuild
 
 from schur_dilate import scparams
 from schur_dilate.contraction import defect, defect_star, julia
@@ -43,6 +44,42 @@ def rand_row_shape(rng, max_blocks=4, max_block=3):
                  for _ in range(int(rng.integers(2, max_blocks + 1))))
     h = int(rng.integers(1, max_block + 1))
     return h, dims
+
+
+# ---------------------------------------------------------------------------
+# parameter objects
+
+
+def test_row_col_params_check_their_gammas_against_the_shape():
+    shape = BlockShape((2,), (2, 2))
+    with pytest.raises(ValueError, match="gammas"):
+        RowColParams("row", (np.zeros((2, 2)),), shape)
+    with pytest.raises(ValueError, match="shape"):
+        RowColParams("row", (np.zeros((2, 2)), np.zeros((2, 3))), shape)
+    with pytest.raises(ValueError, match="gammas"):
+        RowColParams("column", (np.zeros((2, 2)), np.zeros((2, 2))), shape)
+    RowColParams("column", (np.zeros((2, 2)), np.zeros((1, 2))), BlockShape((2, 1), (2,)))
+
+
+def test_matrix_params_check_their_gammas_against_the_shape():
+    shape = BlockShape((1, 2), (2,))
+    with pytest.raises(ValueError, match="gammas"):
+        MatrixContractionParams(((np.zeros((1, 2)),),), shape)
+    with pytest.raises(ValueError, match="shape"):
+        MatrixContractionParams(((np.zeros((1, 2)),), (np.zeros((1, 2)),)), shape)
+    MatrixContractionParams(((np.zeros((1, 2)),), (np.zeros((2, 2)),)), shape)
+
+
+def test_psd_params_check_roots_and_gammas_against_the_shape():
+    shape = BlockShape((1, 2), (1, 2))
+    roots, gammas = (np.eye(1), np.eye(2)), ((np.zeros((1, 2)),), ())
+    with pytest.raises(ValueError, match="shape"):
+        PositiveSCParams((np.eye(1), np.eye(1)), gammas, shape)
+    with pytest.raises(ValueError, match="gammas"):
+        PositiveSCParams(roots, gammas[:1], shape)
+    with pytest.raises(ValueError, match="shape"):
+        PositiveSCParams(roots, ((np.zeros((2, 1)),), ()), shape)
+    PositiveSCParams(roots, gammas, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +279,7 @@ def near_one_grid(seed):
 
     grid = tuple(tuple(gamma(r, c) for c in cols) for r in rows)
     shape = BlockShape(rows, cols)
-    return matrix_reconstruct(MatrixContractionParams(grid, shape)), shape
+    return matrix_rebuild(MatrixContractionParams(grid, shape)), shape
 
 
 def assert_near_one_roundtrip(seed):

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_rebuild import matrix_rebuild, row_walk
 
 from schur_dilate import scparams
-from schur_dilate.contraction import clip_to_contraction, defects, solve_left_factor
+from schur_dilate.contraction import DefectPair, clip_to_contraction, defects, solve_left_factor
 from schur_dilate.errors import NoFactor, NotContraction
 from schur_dilate.linalg import (
     DEFAULT_TOL,
@@ -33,6 +34,7 @@ from schur_dilate.scparams import (
     RowColParams,
     col_parametrize,
     col_reconstruct,
+    matrix_defects_2x2,
     matrix_parametrize,
     matrix_reconstruct,
     psd_parametrize,
@@ -45,6 +47,7 @@ from schur_dilate.scparams import (
 FACTOR_TOL = 1e-10
 NATURAL_TOL = 1e-12
 ADJOINT_TOL = 1e-12
+WALK_TOL = 1e-14
 RECON_TOL = DEFAULT_TOL.recon_tol
 
 block = st.integers(1, 4)
@@ -240,6 +243,87 @@ def test_matrix_params_of_the_adjoint_are_the_adjoint_transposed_grid(params):
             assert_close(adjoint[j][i], dagger(g), ADJOINT_TOL)
 
 
+def assert_block_upper(f, dims):
+    off = np.cumsum((0,) + tuple(dims))
+    for j in range(len(dims)):
+        assert not f[off[j + 1]:, off[j]:off[j + 1]].any()
+
+
+def blocks_of(a, rows, cols):
+    """The blocks of ``a`` over row block sizes ``rows`` and column block sizes ``cols``."""
+    r, c = np.cumsum((0,) + tuple(rows)), np.cumsum((0,) + tuple(cols))
+    return [a[r[i]:r[i + 1], c[j]:c[j + 1]] for i in range(len(rows)) for j in range(len(cols))]
+
+
+@examples
+@given(matrix_params())
+def test_grid_defect_factors(params):
+    # G from the walk of the adjoint-transposed grid, H from the grid's own
+    t = matrix_reconstruct(params)
+    shape = params.shape
+    g, h = scparams._grid_rebuild(params.gammas, shape, DEFAULT_TOL, factors=True)
+    assert_block_upper(g, shape.col_dims)
+    assert_block_upper(h, shape.row_dims)
+    assert_close(dagger(g) @ g, np.eye(shape.cols) - dagger(t) @ t, FACTOR_TOL)
+    assert_close(dagger(h) @ h, np.eye(shape.rows) - t @ dagger(t), FACTOR_TOL)
+
+
+def swapped(pair):
+    """The defect pair of G from that of G*."""
+    return DefectPair(pair.d_t_star, pair.d_t)
+
+
+def closed_form_defect_factors_2x2(params):
+    """(G, H) of a 2 x 2 grid, every block from its closed form.
+
+    The defects come from the SVDs of the adjoint gammas, as the rebuild
+    takes them: D_G from that of G* differs from D_G from that of G by up
+    to 1e-14 next to singular values near 1, which this comparison of the
+    products is not about.
+    """
+    (g1, g2), (g3, g4) = params.gammas
+    (p1, p2), (p3, p4) = ([swapped(defects(dagger(g))) for g in row] for row in params.gammas)
+    rd, cd = params.shape.row_dims, params.shape.col_dims
+    g = np.block([
+        [p3.d_t @ p1.d_t, -p3.d_t @ dagger(g1) @ g2 - dagger(g3) @ g4 @ p2.d_t],
+        [np.zeros(cd[::-1]), p4.d_t @ p2.d_t],
+    ])
+    h = np.block([
+        [p2.d_t_star @ p1.d_t_star, -p2.d_t_star @ g1 @ dagger(g3) - g2 @ dagger(g4) @ p3.d_t_star],
+        [np.zeros(rd[::-1]), p4.d_t_star @ p3.d_t_star],
+    ])
+    return g, h
+
+
+@examples
+@given(matrix_params(2, 2))
+def test_2x2_defect_factors_are_the_closed_forms(params):
+    rd, cd = params.shape.row_dims, params.shape.col_dims
+    for got, want, dims in zip(matrix_defects_2x2(params),
+                               closed_form_defect_factors_2x2(params), (cd, rd)):
+        for block, ref in zip(blocks_of(got, dims, dims), blocks_of(want, dims, dims)):
+            assert_close(block, ref, WALK_TOL)
+
+
+@pytest.mark.parametrize("n, m", [(1, None), (None, 1), (None, None)])
+@examples
+@given(data=st.data())
+def test_rebuilds_match_the_reference_walk(n, m, data):
+    # the row walk per block column that the seeded generators build with
+    params = data.draw(matrix_params(n, m))
+    shape = params.shape
+    ref = matrix_rebuild(params)
+    rebuilds = [matrix_reconstruct(params)]
+    if n == 1:
+        rebuilds.append(row_reconstruct(RowColParams("row", params.gammas[0], shape)))
+    if m == 1:
+        rebuilds.append(col_reconstruct(RowColParams("column", params.column(0), shape)))
+    for t in rebuilds:
+        for block, r in zip(blocks_of(t, shape.row_dims, shape.col_dims),
+                            blocks_of(ref, shape.row_dims, shape.col_dims)):
+            assert_close(block, r, WALK_TOL)
+
+
 @examples
 @given(st.data())
 def test_psd_roundtrip(data):
@@ -346,7 +430,7 @@ def boundary_matrix(seed, lo):
             v = random_unitary(rng, q)[:, :len(s)]
             grid[-1].append((u * s) @ dagger(v))
     shape = BlockShape(rows, cols)
-    return matrix_reconstruct(MatrixContractionParams(grid, shape)), shape
+    return matrix_rebuild(MatrixContractionParams(grid, shape)), shape
 
 
 def test_psd_roundtrip_trailing_factor_with_rounding_direction():
@@ -422,7 +506,7 @@ def bottom_up_extract(a, dims, cut, tol=DEFAULT_TOL):
         except NotContraction as exc:
             raise NoFactor(str(exc)) from exc
         gammas[k], pairs = scparams._row_extract(rk, dims[k + 1:], tol)
-        lower = scparams._row_walk(gammas[k], pairs, dims[k])[1]
+        lower = row_walk(gammas[k], pairs, dims[k])[1]
         chol = np.block([[roots[k], rk @ chol],
                          [np.zeros((len(chol), dims[k])), dagger(lower) @ chol]])
     shape = BlockShape(dims, dims)
@@ -506,7 +590,7 @@ def unit_parameter_grid(seed):
             v = random_unitary(rng, q)[:, :len(s)]
             grid[-1].append((u * np.array(s, dtype=float)) @ dagger(v))
     shape = BlockShape(rows, cols)
-    return matrix_reconstruct(MatrixContractionParams(grid, shape)), shape
+    return matrix_rebuild(MatrixContractionParams(grid, shape)), shape
 
 
 @pytest.mark.parametrize("seed", [5, 13, 26])

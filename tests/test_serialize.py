@@ -108,6 +108,24 @@ def test_params_from_obj_validation():
         })
 
 
+@pytest.mark.parametrize("kind, gammas, roots", [
+    ("row", [np.eye(2)], None),             # 1 of its 2 gammas
+    ("matrix", [np.eye(2)] * 5, None),      # one more than the 2 x 2 grid holds
+    ("matrix", [np.eye(2), np.eye(3), np.eye(2), np.eye(2)], None),
+    ("psd", [np.eye(2), np.eye(2)], [np.eye(2)] * 2),  # a gamma with no row left
+    ("psd", [np.eye(2)], [np.eye(2), np.eye(3)]),
+])
+def test_params_from_obj_checks_gammas_against_the_shape(kind, gammas, roots):
+    obj = {"kind": kind, "shape": {"row_dims": [2, 2], "col_dims": [2, 2]},
+           "gammas": [serialize.matrix_to_obj(g) for g in gammas]}
+    if kind == "row":
+        obj["shape"]["row_dims"] = [2]
+    if roots is not None:
+        obj["diag_roots"] = [serialize.matrix_to_obj(r) for r in roots]
+    with pytest.raises(ValueError):
+        serialize.params_from_obj(obj)
+
+
 def test_povm_roundtrip():
     rng = rng_from_seed(106)
     mm = random_coisometry(rng, 2, 4)
