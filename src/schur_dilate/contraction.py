@@ -74,12 +74,6 @@ def _contraction_norm(t: np.ndarray, tol: Tolerances) -> float:
     return norm
 
 
-def check_contraction(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    t = as_matrix(t)
-    _contraction_norm(t, tol)
-    return t
-
-
 def clip_to_contraction(g: np.ndarray) -> np.ndarray:
     """Clip singular values in (1, 1 + CLIP_SLACK] to exactly 1.
 
@@ -245,24 +239,11 @@ def solve_contraction_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         return clip_to_contraction(_damped_solve(x, y, tol))
 
 
-def solve_left_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Contraction Gamma with X Gamma = Y, the mirror-image solve."""
-    return dagger(solve_contraction_factor(dagger(as_matrix(x)), dagger(as_matrix(y)), tol))
-
-
 def _full_svd(g: np.ndarray):
     try:
         return np.linalg.svd(g)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-
-
-def _gamma_step(dacc: np.ndarray, blk: np.ndarray,
-                tol: Tolerances) -> tuple[np.ndarray, DefectPair]:
-    """Gamma with ``dacc Gamma = blk`` and both its defects, from two SVDs:
-    ``_gamma_steps`` on a stack of one."""
-    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
-    return g[0], DefectPair(pair.d_t[0], pair.d_t_star[0])
 
 
 def _corner_mask(rows: np.ndarray, cols: np.ndarray, side: int) -> np.ndarray:
@@ -285,12 +266,12 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
     """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, and
     both defects of each, from two stacked SVDs.
 
-    The arithmetic of ``solve_left_factor`` followed by ``defects``, on
-    internal arrays, so without their input checks: one SVD gives the
-    pseudoinverse of ``dacc_i``, whose solve must leave no residual beyond
-    the slack, and one full SVD of Gamma_i gives the norm test, the clip of
-    singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and both defects of
-    the clipped Gamma_i.
+    The arithmetic of ``solve_contraction_factor(dacc_i*, blk_i*)*`` and
+    ``defects``, on internal arrays, so without their input checks: one SVD
+    gives the pseudoinverse of ``dacc_i``, whose solve must leave no
+    residual beyond the slack, and one full SVD of Gamma_i gives the norm
+    test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
+    both defects of the clipped Gamma_i.
     A norm beyond the slack falls back to ``_damped_solve``, as in
     ``solve_contraction_factor``; without ``damp``, ``_Overshoot`` names
     all such solves instead.  Without ``checked``, neither the solve's

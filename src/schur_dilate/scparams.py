@@ -24,24 +24,23 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Row and column
-extraction pays two SVDs per gamma: one for the pseudoinverse solve and one
-of the gamma, which also decides its clip.  ``Gamma_ij`` of a positive
-matrix depends only on the principal block ``a[i..j]``, so psd extraction
-runs one stage per lag ``j - i``, every row at once: one stacked ``eigh``
-for the roots, then three stacked SVDs per lag (``_psd_stages``).  ``T`` is
-a contraction iff ``[[I, T], [T*, I]] >= 0``, and with the row blocks of
-``T`` taken in reverse order the grid of ``T`` is the corner of the psd
-parameters of that matrix that couples row blocks to column blocks, so
-matrix extraction is the same stages, one anti-diagonal ``i + j`` of the
-grid per lag, at three stacked SVDs per lag and no ``eigh``.
-A rebuild knows all its gammas up front and takes their defects from one
-stacked SVD (one per distinct gamma shape).  A row contraction is a 1 x m
-grid and a column contraction an n x 1 grid, so every rebuild is one walk
-over a grid (``_grid_walk``): block row j of ``T*`` is the row contraction
-of block column j's adjoint gammas applied to ``x = F_{j-1}* ... F_0*``,
-``F_i`` the lower defect factor of that row, and ``_column_walk`` gives it
-and the next ``x`` at two products per gamma.  The last ``x`` is the block
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Every extraction
+runs the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive matrix
+depends only on the principal block ``a[i..j]``, so one stage per lag
+``j - i`` serves every row at once, at three stacked SVDs, after one
+stacked ``eigh`` for the roots.  ``T`` is a contraction iff
+``[[I, T], [T*, I]] >= 0``, and with the row blocks of ``T`` reversed its
+grid is the corner of that matrix's psd parameters coupling row blocks to
+column blocks, one anti-diagonal per lag; the other couplings are zero by
+structure, pinned and never solved.  A row contraction is a 1 x m grid and
+a column contraction the adjoint of the 1 x n grid of ``T*``, at two SVDs
+per gamma.  A rebuild knows all its gammas up front and takes their defects
+from one stacked SVD (one per distinct gamma shape).  Every rebuild, a
+column contraction's as an n x 1 grid, is one walk over a grid
+(``_grid_walk``): block row j of ``T*`` is the row contraction of block
+column j's adjoint gammas applied to ``x = F_{j-1}* ... F_0*``, ``F_i`` the
+lower defect factor of that row, and ``_column_walk`` gives it and the next
+``x`` at two products per gamma.  The last ``x`` is the block
 upper-triangular ``H`` with H*H = I - T T*, and ``G`` with G*G = I - T*T is
 ``H`` of the adjoint-transposed grid, which rebuilds ``T*`` from the same
 defect pairs, swapped.  Positive matrices walk their block columns the
@@ -65,9 +64,8 @@ from .contraction import (
     _Overshoot,
     _contraction_norm,
     _corner_mask,
-    _gamma_step,
     _gamma_steps,
-    check_contraction,
+    DefectPair,
     clip_to_contraction,
     defect,
     defects,
@@ -246,11 +244,6 @@ class PositiveSCParams:
 # row / column contractions
 
 
-def _split_cols(t: np.ndarray, dims) -> list[np.ndarray]:
-    off = _offsets(dims)
-    return [t[:, off[k]:off[k + 1]] for k in range(len(dims))]
-
-
 def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
     """Row gammas of ``t`` and their defect pairs, two SVDs each.
 
@@ -267,15 +260,15 @@ def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
     gammas, pairs = [], []
     off = _offsets(dims)
     d_star = defects(t, tol).d_t_star if tail else None
-    for k, blk in enumerate(_split_cols(t, dims)):
+    for k, blk in enumerate(np.hsplit(t, off[1:-1])):
         if tail and k:
             u, s, _ = np.linalg.svd(np.hstack((d_star, t[:, off[k]:])), full_matrices=False)
             pu, _, pvh = np.linalg.svd(dacc)
             dacc = (u * s) @ dagger(u) @ pu @ pvh
-        g, pair = _gamma_step(dacc, blk, tol)
-        gammas.append(g)
-        pairs.append(pair)
-        dacc = dacc @ pair.d_t_star
+        g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
+        gammas.append(g[0])
+        pairs.append(DefectPair(pair.d_t[0], pair.d_t_star[0]))
+        dacc = dacc @ pairs[-1].d_t_star
     return gammas, pairs
 
 
@@ -285,13 +278,10 @@ def _as_grid(params: RowColParams):
 
 
 def row_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowColParams:
-    """Extract the parameters of a row contraction, one block column at a time."""
-    t = check_contraction(as_matrix(t), tol)
-    shape.check(t)
+    """Extract the parameters of a row contraction: its 1 x m grid."""
     if len(shape.row_dims) != 1:
         raise ShapeUnsupported("row contractions have a single block row")
-    gammas, _ = _row_extract(t, shape.col_dims, tol)
-    return RowColParams("row", tuple(gammas), shape)
+    return RowColParams("row", matrix_parametrize(t, shape, tol).gammas[0], shape)
 
 
 def row_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -304,14 +294,14 @@ def col_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> RowC
     """Column parameters T_k = Gamma_k D_{G_{k-1}} ... D_{G_1}.
 
     They are the adjoints of the row parameters of T*, because
-    ``D_{(G*)*} = D_G``.
+    ``D_{(G*)*} = D_G``: the adjoints of the 1 x n grid of T*.
     """
-    t = check_contraction(as_matrix(t), tol)
+    t = as_matrix(t)
     shape.check(t)
     if len(shape.col_dims) != 1:
         raise ShapeUnsupported("column contractions have a single block column")
-    gammas, _ = _row_extract(dagger(t), shape.row_dims, tol)
-    return RowColParams("column", tuple(dagger(g) for g in gammas), shape)
+    row = matrix_parametrize(dagger(t), BlockShape(shape.col_dims, shape.row_dims), tol).gammas[0]
+    return RowColParams("column", tuple(dagger(g) for g in row), shape)
 
 
 def col_reconstruct(params: RowColParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -345,7 +335,8 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     C_{m-1}``, so that coupling has lag ``i + j + 1``.  The embedding has
     identity roots and is positive iff ``T`` is a contraction, and
     ``_psd_stages`` extracts it one lag, that is one anti-diagonal of the
-    grid, at a time.  The row-row and column-column gammas come out zero.
+    grid, at a time, pinning its row-row and column-column couplings, which
+    are zero by structure.
 
     The uncut stages go first, so every solve keeps its residual check.  A
     unit singular value of ``T`` makes the embedding singular, and then, as
@@ -359,8 +350,7 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     shape.check(t)
     rd, cd = shape.row_dims, shape.col_dims
     n = len(rd)
-    off = _offsets(rd)
-    flipped = np.vstack([t[off[i]:off[i + 1]] for i in range(n - 1, -1, -1)])
+    flipped = np.vstack(np.split(t, _offsets(rd)[1:-1])[::-1])
     emb = np.eye(shape.rows + shape.cols, dtype=complex)
     emb[:shape.rows, shape.rows:] = flipped
     emb[shape.rows:, :shape.rows] = dagger(flipped)
@@ -371,11 +361,9 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     blocks = _padded_blocks(emb, dims, side)
 
     def grid(level):
-        g = _psd_stages(blocks, roots, dims, level, tol)
-        return MatrixContractionParams(
-            tuple(tuple(g[n - 1 - i, i + j, :rd[i], :cd[j]] for j in range(len(cd)))
-                  for i in range(n)),
-            shape)
+        g = _psd_stages(blocks, roots, dims, level, tol, split=n)
+        return MatrixContractionParams(((g[n - 1 - i, i + j, :d, :c] for j, c in enumerate(cd))
+                                        for i, d in enumerate(rd)), shape)
 
     def rebuilds(params):
         return frob(matrix_reconstruct(params, tol) - t) <= _recon_bound(t, tol)
@@ -546,7 +534,7 @@ def _padded_gammas(rows, side: int, tol: Tolerances) -> np.ndarray:
     return out
 
 
-def _column_walk(g, d_t, d_t_star, x):
+def _column_walk(g, d_t, d_t_star, x, lead: int = 0):
     """``T x`` and ``F* x`` for a stack of rows of gammas, without forming F.
 
     ``g[k, m]`` is the m-th gamma of row k, ``d_t[k, m]`` and
@@ -557,7 +545,8 @@ def _column_walk(g, d_t, d_t_star, x):
     Walking m from the last gamma to the first, with ``u = 0``: ``(F* x)_m
     = D_{G_m} x_m - G_m* u`` and ``u <- G_m x_m + D_{G_m*} u``; the final
     ``u`` is ``T x``.  The products with x are taken for all m at once, so
-    each step costs two products, stacked over the rows.
+    each step costs two products, stacked over the rows.  Row k's first
+    ``lead - k`` gammas are pinned zeros, which pass x and u through unwalked.
     """
     gx = g @ x
     lower = d_t @ x
@@ -565,8 +554,9 @@ def _column_walk(g, d_t, d_t_star, x):
     last = x.shape[1] - 1
     u = gx[:, last]
     for m in range(last - 1, -1, -1):
-        lower[:, m] -= adj[:, m] @ u
-        u = gx[:, m] + d_t_star[:, m] @ u
+        k = max(0, lead - m)
+        lower[k:, m] -= adj[k:, m] @ u[k:]
+        u[k:] = gx[k:, m] + d_t_star[k:, m] @ u[k:]
     return u, lower
 
 
@@ -606,7 +596,7 @@ def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveS
     return params
 
 
-def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances) -> np.ndarray:
+def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | None = None):
     """Gammas of the padded block grid ``blocks``, ``[k, m]`` coupling block k
     to block k + 1 + m.
 
@@ -626,7 +616,13 @@ def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances) -> np.ndarray:
     3. the new column: ``C^(k)[k, j] = sum_{k<m<=j} (r_k)_m C^(k+1)[m, j]``
        and below it ``F_k* C^(k+1)[>k, j]`` (``_column_walk``).
 
-    Blocks of mixed sizes are zero-padded to the largest one.
+    Blocks of mixed sizes are zero-padded to the largest one.  With
+    ``split``, ``blocks`` is the embedding ``[[I, T], [T*, I]]``, its
+    ``split`` row blocks first, and ``roots`` are identities.  Couplings
+    within one side are zero by structure, pinned as zero gammas with
+    identity defects: not solved, not SVD'd and not walked.  A trailing
+    corner within one side is an identity, so row ``split - 1`` needs no
+    pivot pseudoinverse.
 
     Next to a parameter of norm one, a new gamma can overshoot norm one far
     beyond the clip slack although the row is a contraction up to rounding:
@@ -644,7 +640,7 @@ def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances) -> np.ndarray:
     """
     pinned: dict[int, tuple] = {}
     while True:
-        gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned)
+        gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned, split)
         if not clipped:
             return gammas
         pinned.update(clipped)
@@ -672,7 +668,8 @@ def _rescue_row(blocks, roots, root_pinv, g, dims, k: int, j: int, atol: float,
         return _row_extract(row, sub, tol, tail=True)
 
 
-def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):
+def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
+              split: int | None):
     """One pass of ``_psd_stages``: the gammas, or None and the rows to pin.
 
     ``pinned[k]`` holds the leading gammas of row k and their defect pairs,
@@ -687,41 +684,55 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):
     # ||factor of a[k+1..j]||_F^2 = trace a[k+1..j] = sum_{k<i<=j} ||L_i||_F^2
     sq_norms = np.concatenate(([0.0], np.cumsum(root_norms ** 2)))
     atol = np.sqrt(cut)
-    root_pinv, _ = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
     m_acc = (np.eye(side) * _corner_mask(sizes[:-1], sizes[:-1], side)).astype(complex)
     # [k, m]: row k's gamma into block k + 1 + m, its defects and its solved r block
     g, d_t, d_t_star, r = (np.zeros((n - 1, n - 1, side, side), dtype=complex) for _ in range(4))
-    cols = roots[1:, np.newaxis]  # cols[k, p] = C^(k+1)[k+1+p, k+lag], at lag 1
+    if split is None:
+        root_pinv, _ = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
+    else:  # identity roots; the walks pass x through the pinned zeros' D_Gamma = I
+        root_pinv = roots
+        d_t[1:split] = roots[np.minimum(np.add.outer(diag[2:split + 1], diag[:-1]), n - 1)]
+    cols, c0 = roots[1:, np.newaxis], 0  # cols[k - c0, p] = C^(k+1)[k+1+p, k+lag], at lag 1
     for lag in range(1, n):
         rows = n - lag
-        known = (r[:rows, :lag - 1] @ cols[:, :lag - 1]).sum(axis=1)
-        z = root_pinv[:rows] @ blocks[diag[:rows], diag[:rows] + lag] - known
-        pivot = cols[:, -1]
-        if lag == 1:
-            pivot_pinv = root_pinv[1:]
-        else:
-            scale = np.sqrt(sq_norms[lag + 1:] - sq_norms[1:rows + 1])
-            floor = _rank_rconds(off[lag + 1:] - off[1:rows + 1], scale, tol, atol) * scale
-            pivot_pinv, _ = _pinv_stack(
-                pivot, _rank_rconds(sizes[lag:], _frobs(pivot), tol, atol), floor)
-        rj = z @ pivot_pinv
+        # rows [lo, hi) have a real coupling, those before `real` a pivot to invert
+        lo, hi, real = ((0, rows, rows) if split is None else
+                        (max(0, split - lag), min(split, rows), min(split - 1, rows)))
+        rj = blocks.diagonal(lag)[..., lo:hi].transpose(2, 0, 1)  # a[k, k + lag], lo <= k < hi
+        rj = root_pinv[:rows] @ rj if split is None else rj.copy()
+        p = real - lo
+        if p:
+            span = cols[lo - c0:real - c0]
+            known = (r[lo:real, :lag - 1] @ span[:, :lag - 1]).sum(axis=1)
+            pivot = span[:, -1]
+            if lag == 1:
+                pivot_pinv = root_pinv[lo + 1:real + 1]
+            else:
+                first, last = np.arange(lo + 1, real + 1), np.arange(lo + lag + 1, real + lag + 1)
+                scale = np.sqrt(sq_norms[last] - sq_norms[first])
+                floor = _rank_rconds(off[last] - off[first], scale, tol, atol) * scale
+                pivot_pinv, _ = _pinv_stack(
+                    pivot, _rank_rconds(sizes[first + lag - 1], _frobs(pivot), tol, atol), floor)
+            rj[:p] = (rj[:p] - known) @ pivot_pinv
         if min(dims) < side:
-            rj *= _corner_mask(sizes[:rows], sizes[lag:], side)
-        r[:rows, lag - 1] = rj
-        fixed = [k for k, (gammas, _) in pinned.items() if k < rows and len(gammas) >= lag]
+            rj *= _corner_mask(sizes[lo:hi], sizes[lo + lag:hi + lag], side)
+        r[lo:real, lag - 1] = rj[:p]  # only rows with a pivot read r
+        fixed = [k for k, (gammas, _) in pinned.items() if lo <= k < hi and len(gammas) >= lag]
         for k in fixed:
             gk, pk = pinned[k][0][lag - 1], pinned[k][1][lag - 1]
             g[k, lag - 1, :gk.shape[0], :gk.shape[1]] = gk
             d_t[k, lag - 1, :gk.shape[1], :gk.shape[1]] = pk.d_t
             d_t_star[k, lag - 1, :gk.shape[0], :gk.shape[0]] = pk.d_t_star
-        free = np.setdiff1d(diag[:rows], fixed) if fixed else slice(rows)
-        if len(fixed) < rows:
-            problem = (m_acc[free], rj[free], tol, sizes[:rows][free], sizes[lag:][free])
+        at = np.setdiff1d(diag[lo:hi], fixed) if fixed else slice(lo, hi)  # rows solved for
+        free = at - lo if fixed else slice(None)  # their places in rj
+        if len(fixed) < hi - lo:
+            problem = (m_acc[at], rj[free], tol,
+                       *((sizes[at], sizes[lag:][at]) if min(dims) < side else ()))
             try:
                 gj, pair = _gamma_steps(*problem, damp=False, checked=not cut)
             except _Overshoot as exc:
                 rescued = {}
-                for k in diag[:rows][free][exc.indices]:
+                for k in diag[at][exc.indices]:
                     try:
                         rescued[k] = _rescue_row(blocks, roots, root_pinv, g, dims, k, k + lag,
                                                  atol, tol)
@@ -730,16 +741,24 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict):
                 if rescued:
                     return None, rescued
                 gj, pair = _gamma_steps(*problem, checked=not cut)
-            g[free, lag - 1], d_t[free, lag - 1], d_t_star[free, lag - 1] = \
-                gj, pair.d_t, pair.d_t_star
+            g[at, lag - 1], d_t[at, lag - 1], d_t_star[at, lag - 1] = gj, pair.d_t, pair.d_t_star
         if lag == n - 1:
             break
-        m_acc = m_acc[:rows - 1] @ d_t_star[:rows - 1, lag - 1]
-        # row 0's new column would only serve a row above it
-        _, lower = _column_walk(g[1:rows, :lag], d_t[1:rows, :lag], d_t_star[1:rows, :lag],
-                                cols[1:])
-        top = known[1:] + rj[1:] @ pivot[1:]
-        cols = np.concatenate((top[:, np.newaxis], lower), axis=1)
+        step = slice(lo, min(hi, rows - 1))
+        m_acc[step] = m_acc[step] @ d_t_star[step, lag - 1]
+        start = max(1, lo)  # row 0's new column would only serve a row above it
+        if start >= hi:
+            continue
+        w = start - lo
+        x, top = cols[start - c0:real - c0], rj[w:]
+        if real > start:
+            top = np.concatenate((known[w:] + rj[w:p] @ pivot[w:], rj[p:]))
+        if real < hi:  # row split - 1, whose trailing corner and its factor are identities
+            x = np.concatenate((x, np.zeros((1, lag, side, side), dtype=complex)))
+            x[-1, -1] = roots[real + lag]
+        _, lower = _column_walk(g[start:hi, :lag], d_t[start:hi, :lag], d_t_star[start:hi, :lag],
+                                x, 0 if split is None else split - 1 - start)
+        cols, c0 = np.concatenate((top[:, np.newaxis], lower), axis=1), start - 1
     return g, {}
 
 

@@ -11,12 +11,20 @@ The seeded generators of the parametrization tests build their inputs
 through ``matrix_rebuild``, so their data does not move in the last bits
 when the library's rebuild changes: some of those inputs sit right at a
 norm or residual bound.
+
+``solve_left_factor`` is the mirror image of the library's factor solve,
+which the tests' references solve block columns with.
 """
 
 import numpy as np
 
-from schur_dilate.contraction import defects
-from schur_dilate.linalg import dagger
+from schur_dilate.contraction import defects, solve_contraction_factor
+from schur_dilate.linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger
+
+
+def solve_left_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Contraction Gamma with X Gamma = Y, the mirror-image solve."""
+    return dagger(solve_contraction_factor(dagger(as_matrix(x)), dagger(as_matrix(y)), tol))
 
 
 def row_walk(gammas, pairs, h: int):

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_rebuild import solve_left_factor
 
 from schur_dilate.contraction import (
     CLIP_SLACK,
+    DefectPair,
     _Overshoot,
-    _gamma_step,
     _gamma_steps,
     _solve,
     defects,
     julia,
     solve_contraction_factor,
-    solve_left_factor,
     solve_partial_isometry,
     with_freedom,
 )
@@ -164,7 +164,7 @@ def test_solve_factor_damps_overshoot_along_weak_direction():
     assert opnorm(g) <= 1.0
     assert np.linalg.norm(g @ x - y) <= 1e-11
     np.testing.assert_allclose(g, [[0.8, 0.6]], atol=1e-6)
-    assert same_bits(_gamma_step(dagger(x), dagger(y), Tolerances())[0], dagger(g))
+    assert same_bits(one_step(dagger(x), dagger(y))[0], dagger(g))
     # an overshoot that only the unit direction can absorb moves Y beyond the slack
     with pytest.raises(NoFactor):
         solve_contraction_factor(x, np.array([[1.0 + 1e-7, 0.0]]))
@@ -236,6 +236,13 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def one_step(dacc, blk, tol=Tolerances()):
+    """Gamma with ``dacc Gamma = blk`` and its defects: ``_gamma_steps`` on a
+    stack of one."""
+    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
+    return g[0], DefectPair(pair.d_t[0], pair.d_t_star[0])
+
+
 @settings(max_examples=60, deadline=None)
 @given(contraction_stacks())
 def test_stacked_defects_equal_per_matrix_defects_bitwise(ts):
@@ -271,7 +278,7 @@ def test_gamma_step_is_solve_then_defects_bitwise(h, d, seed):
     dacc = (defects(random_contraction(rng, h, h, spectral_norm=0.9)).d_t_star
             @ defects(random_contraction(rng, h, 2)).d_t_star)
     blk = dacc @ random_contraction(rng, h, d, spectral_norm=0.9)
-    g, pair = _gamma_step(dacc, blk, Tolerances())
+    g, pair = one_step(dacc, blk)
     want = solve_left_factor(dacc, blk)
     assert opnorm(want) <= 1.0   # nothing clipped
     assert same_bits(g, want)
@@ -304,7 +311,7 @@ def test_gamma_steps_equal_the_2d_step_bitwise(seed, count, h, d):
     dacc, blk = (np.stack(p) for p in zip(*problems))
     sizes = np.full(count, h), np.full(count, d)
     try:
-        singles = [_gamma_step(x, y, Tolerances()) for x, y in problems]
+        singles = [one_step(x, y) for x, y in problems]
     except NoFactor:
         with pytest.raises(NoFactor):
             _gamma_steps(dacc, blk, Tolerances(), *sizes)
@@ -330,7 +337,7 @@ def test_gamma_steps_without_damping_name_every_overshoot():
     assert info.value.indices.tolist() == beyond
     g, _ = _gamma_steps(dacc, blk, Tolerances())
     for i in beyond:
-        assert same_bits(g[i], _gamma_step(*problems[i], Tolerances())[0])
+        assert same_bits(g[i], one_step(*problems[i])[0])
         assert opnorm(g[i]) <= 1.0
 
 
@@ -347,7 +354,7 @@ def test_gamma_steps_on_padded_stacks():
     rows, cols = (np.array(v) for v in zip(*shapes))
     g, pair = _gamma_steps(dacc, blk, Tolerances(), rows, cols)
     for i, ((h, d), (x, y)) in enumerate(zip(shapes, problems)):
-        gi, pi = _gamma_step(x, y, Tolerances())
+        gi, pi = one_step(x, y)
         for got, want, (p, q) in ((g[i], gi, (h, d)), (pair.d_t[i], pi.d_t, (d, d)),
                                   (pair.d_t_star[i], pi.d_t_star, (h, h))):
             np.testing.assert_allclose(got[:p, :q], want, atol=1e-13)
@@ -359,7 +366,7 @@ def test_gamma_step_clips_within_slack_and_fails_beyond():
     u, v = random_unitary(rng, 3), random_unitary(rng, 2)[:, :2]
     dacc = np.eye(3, dtype=complex)
     over = (u[:, :2] * np.array([1.0 + CLIP_SLACK / 2, 0.5])) @ dagger(v)
-    g, pair = _gamma_step(dacc, over, Tolerances())
+    g, pair = one_step(dacc, over)
     # singular values are clipped to exactly 1; the rebuilt G rounds
     assert opnorm(g) <= 1.0 + 4 * np.finfo(float).eps < opnorm(over)
     # the defects belong to the clipped gamma: D_G*^2 + G G* = I
@@ -367,4 +374,4 @@ def test_gamma_step_clips_within_slack_and_fails_beyond():
     assert np.linalg.norm(pair.d_t @ pair.d_t + dagger(g) @ g - np.eye(2)) <= 1e-12
     beyond = (u[:, :2] * np.array([1.0 + 10 * CLIP_SLACK, 0.5])) @ dagger(v)
     with pytest.raises(NoFactor):
-        _gamma_step(dacc, beyond, Tolerances())
+        one_step(dacc, beyond)

@@ -1,28 +1,29 @@
 """Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
-An extracted row or column gamma costs two SVDs: one for the
-pseudoinverse of its solve, and one of the gamma, which gives its clip and
-both D_Gamma and D_Gamma*.  Positive block matrices are extracted one lag
-at a time, all rows at once, so they pay stacked calls per lag instead:
-the pivots' pseudoinverses, the solves' and the gammas'.  A block
+Every extraction runs the lag stages, all rows of a lag at once, at up to
+three stacked SVDs per lag: the pivots' pseudoinverses, the solves' and the
+gammas', which give their clips and both D_Gamma and D_Gamma*.  "matrices"
+sums the stack sizes of the SVDs, "gammas" the problems solved.  A block
 contraction T is extracted as the positive matrix [[I, T], [T*, I]], whose
-roots are identities: one norm-2 for the contraction test of T, then the
-same three stacked SVDs per lag of the embedding.  Every rebuild, of a
-row, column, block or positive matrix, is one walk over its grid of gammas
-at products only, with the defects of all its same-shaped gammas from one
-stacked SVD; the two defect factors of a grid walk the grid and its
-adjoint-transposed grid on the same defects.  ``eigh``
-is left to the positive roots of diagonal blocks, one stacked call per
-block size.  The pseudoinverses are SVDs of their own, so extraction gates
-count ``svd``, ``pinv`` and ``norm2`` together.  The counts below are
-ceilings on the benchmark self-test's inputs; the inequality suite runs
-ten trials of the transpose witness.  The witness harness generates and
-checks its trials as a stack: one stacked factorization per generation
-stage, one matmul per sample for I_k (x) phi and one stacked ``eigvalsh``
-for the check; arrow samples are built once, without ``np.block``.  Both
-dilations complete an isometry, whose Julia unitary needs no factorization
-at all.
+roots are identities: one norm-2 for the contraction test of T, then only
+the couplings of a row block to a column block are solved, the others
+being pinned zeros.  A row contraction is its 1 x m grid, and a column
+contraction the adjoint of the 1 x n grid of T*; their pivots are
+identities, so a gamma costs the SVD of its solve and its own.  Every
+rebuild, of a row, column, block or positive matrix, is one walk over its
+grid of gammas at products only, with the defects of all its same-shaped
+gammas from one stacked SVD; the two defect factors of a grid walk the grid
+and its adjoint-transposed grid on the same defects.  ``eigh`` is left to
+the positive roots of diagonal blocks, one stacked call per block size.
+The pseudoinverses are SVDs of their own, so extraction gates count
+``svd``, ``pinv`` and ``norm2`` together.  The counts below are ceilings on
+the benchmark self-test's inputs; the inequality suite runs ten trials of
+the transpose witness.  The witness harness generates and checks its trials
+as a stack: one stacked factorization per generation stage, one matmul per
+sample for I_k (x) phi and one stacked ``eigvalsh`` for the check; arrow
+samples are built once, without ``np.block``.  Both dilations complete an
+isometry, whose Julia unitary needs no factorization at all.
 """
 
 import collections
@@ -38,14 +39,21 @@ def counts(monkeypatch):
     seen = collections.Counter()
     eigh, svd, pinv, norm = np.linalg.eigh, np.linalg.svd, np.linalg.pinv, np.linalg.norm
     eigvalsh, block, apply = np.linalg.eigvalsh, np.block, maps.MatrixLinearMap.apply
+    gamma_steps = scparams._gamma_steps
 
     def counting_eigh(*args, **kwargs):
         seen["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
+    def counting_svd(a, *args, **kwargs):
+        # "matrices" sums the stack sizes of the SVD calls
         seen["svd"] += 1
-        return svd(*args, **kwargs)
+        seen["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        return svd(a, *args, **kwargs)
+
+    def counting_gamma_steps(dacc, *args, **kwargs):
+        seen["gammas"] += len(dacc)
+        return gamma_steps(dacc, *args, **kwargs)
 
     def counting_pinv(*args, **kwargs):
         seen["pinv"] += 1
@@ -75,6 +83,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(scparams, "_gamma_steps", counting_gamma_steps)
     return seen
 
 
@@ -100,6 +109,10 @@ def test_psd_counts(counts):
     assert counts["eigh"] == 1
     assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 3 * 15
     assert counts["norm2"] == 0
+    # every coupling is solved; the SVDs take the 16 roots, the 105 pivots
+    # after lag 1, and the 120 solves and 120 gammas
+    assert counts["gammas"] == 120
+    assert counts["matrices"] == 16 + 105 + 2 * 120
     counts.clear()
     scparams.psd_reconstruct(params)
     # the defects of all 120 gammas from one stacked SVD
@@ -113,18 +126,43 @@ def test_matrix_counts(counts):
     grid = scparams.BlockShape((2,) * 8, (2,) * 8)
     counts.clear()
     params = scparams.matrix_parametrize(t, grid)
-    # the norm test of T; the embedding has 16 blocks, so 15 lags of three
-    # stacked SVDs each: the pivots' pseudoinverses (at lag 1 the identity
-    # roots', taken once up front), the solves' and the gammas'
+    # the norm test of T; the embedding has 16 blocks, so 15 lags of at most
+    # three stacked SVDs each: the pivots' pseudoinverses, the solves' and
+    # the gammas'.  Only the 64 couplings of a row block to a column block
+    # are solved; the 56 within one side are pinned zeros, and the 8 pivots
+    # of the row next to the split are identities
     assert counts["eigh"] == 0
     assert counts["norm2"] == 1
     assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 1 + 3 * 15
+    assert counts["gammas"] == 64
+    assert counts["matrices"] <= 3 * 64
     counts.clear()
     scparams.matrix_reconstruct(params)
     # the defects of the whole grid from one stacked SVD
     assert counts["eigh"] == 0
     assert counts["svd"] == 1
     assert counts["pinv"] + counts["norm2"] == 0
+
+
+@pytest.mark.parametrize("kind", ["row", "column"])
+def test_row_and_column_counts(counts, kind):
+    rng = np.random.default_rng(5)
+    t = rng.standard_normal((4, 64)) + 1j * rng.standard_normal((4, 64))
+    t *= 0.9 / np.linalg.norm(t, 2)
+    if kind == "row":
+        extract, shape = scparams.row_parametrize, scparams.BlockShape((4,), (4,) * 16)
+    else:
+        extract, shape = scparams.col_parametrize, scparams.BlockShape((4,) * 16, (4,))
+        t = t.conj().T
+    counts.clear()
+    extract(t, shape)
+    # the norm test, then the 1 x 16 grid one gamma per lag: its pivots are
+    # identities, so each gamma costs the SVD of its solve and its own
+    assert counts["eigh"] + counts["pinv"] == 0
+    assert counts["norm2"] == 1
+    assert counts["gammas"] == 16
+    assert counts["svd"] <= 32
+    assert counts["matrices"] <= 32
 
 
 def rebuild_inputs():

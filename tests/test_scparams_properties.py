@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_rebuild import matrix_rebuild, row_walk
+from reference_rebuild import matrix_rebuild, row_walk, solve_left_factor
 
 from schur_dilate import scparams
-from schur_dilate.contraction import DefectPair, clip_to_contraction, defects, solve_left_factor
+from schur_dilate.contraction import DefectPair, clip_to_contraction, defects
 from schur_dilate.errors import NoFactor, NotContraction
 from schur_dilate.linalg import (
     DEFAULT_TOL,
@@ -200,11 +200,13 @@ def test_matrix_roundtrip(params):
 
 
 def column_by_column(t, shape):
-    """The grid of ``t`` one block column at a time, from public calls only.
+    """The grid of ``t`` one block column at a time, independent of the
+    staged extraction.
 
     Block column k is solved against the product of the triangular defect
     factors of the block columns before it, then parametrized as a column
-    contraction, that is through the row parameters of its adjoint.
+    contraction, that is through the row parameters of its adjoint, taken
+    by the per-block loop (``scparams._row_extract``).
     """
     rd, cd = shape.row_dims, shape.col_dims
     off = np.cumsum((0,) + cd)
@@ -212,7 +214,8 @@ def column_by_column(t, shape):
     columns = []
     for k, d in enumerate(cd):
         ck = solve_left_factor(dacc, t[:, off[k]:off[k + 1]])
-        row = row_parametrize(dagger(ck), BlockShape((d,), rd))
+        gammas, _ = scparams._row_extract(dagger(ck), rd, DEFAULT_TOL)
+        row = RowColParams("row", gammas, BlockShape((d,), rd))
         columns.append([dagger(g) for g in row.gammas])
         dacc = dacc @ row_defect_factors(row)[0]
     return [[column[i] for column in columns] for i in range(len(rd))]
@@ -413,14 +416,20 @@ def boundary_psd(seed, lo):
     return psd_with_gammas(rng, dims, lambda count: [boundary_value(rng, lo) for _ in range(count)])
 
 
-def boundary_matrix(seed, lo):
+def boundary_matrix(seed, lo, kind="matrix"):
     """2-5 block rows of size 1-4, a block column of size 1-4 and 1-3 more of
     size 1-3, with gamma singular values from ``boundary_value``, as a
-    contraction and its block shape: the matrix inputs of the boundary scan."""
+    contraction and its block shape: the matrix inputs of the boundary scan.
+    The "column" kind keeps the first block column only, and the "row" kind
+    is one block row of that size over the block rows' sizes as columns."""
     rng = rng_from_seed(seed)
     rows = tuple(int(d) for d in rng.integers(1, 5, int(rng.integers(2, 6))))
     cols = (int(rng.integers(1, 5)),) + tuple(
         int(d) for d in rng.integers(1, 4, int(rng.integers(1, 4))))
+    if kind == "row":
+        rows, cols = cols[:1], rows
+    elif kind == "column":
+        cols = cols[:1]
     grid = []
     for p in rows:
         grid.append([])
@@ -615,6 +624,26 @@ def test_matrix_extraction_of_a_singular_embedding_rebuilds_or_raises(seed):
     except NoFactor:
         return
     assert frob(matrix_reconstruct(params) - t) <= scparams._recon_bound(t, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("kind, seed, lo", [
+    ("row", 10008, 1e-10), ("row", 10017, 1e-10), ("row", 10230, 1e-10),
+    ("column", 10094, 1e-10), ("column", 10133, 1e-10),
+    ("column", 10150, 1e-8), ("column", 10230, 1e-8)])
+def test_row_and_column_roundtrip_next_to_unit_parameters(kind, seed, lo):
+    # 1 x m and n x 1 boundary inputs.  Solved block by block against the
+    # running product of defects alone, each raised NoFactor: a solve
+    # residual of 1.5e-9 to 1.4e-7, or no damped contraction within the
+    # slack.  As grids they round-trip: rows 10008 and 10230 through the cut
+    # pass, rows 10017 and 10230 and both columns at 1e-8 with a row rescued
+    # in its tail form.  The columns at 1e-10 get through the uncut stages,
+    # whose solves, zero-padded to the largest block, round differently.
+    t, shape = boundary_matrix(seed, lo, kind)
+    if kind == "row":
+        again = row_reconstruct(row_parametrize(t, shape))
+    else:
+        again = col_reconstruct(col_parametrize(t, shape))
+    assert_close(again, t, scparams._recon_bound(t, DEFAULT_TOL))
 
 
 def grid_roundtrip(rows):
