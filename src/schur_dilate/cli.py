@@ -70,6 +70,11 @@ CONTROL_FAMILIES = ("bell-control", "choi-control")
 _CHUNK_BYTES = 256 * 1024
 
 
+def _chunk_size(side: int) -> int:
+    """Samples of ``side x side`` complex entries per chunk of at most ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // max(1, side * side * np.dtype(complex).itemsize))
+
+
 def _tolerances() -> Tolerances:
     env = os.environ.get("SCHUR_DILATE_TOL")
     if env is None:
@@ -91,31 +96,31 @@ def _emit(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _matrix_shape(text: str) -> BlockShape:
+    if "x" not in text:
+        raise ValueError("matrix shape must be ROWSxCOLS, e.g. 2+2x3+3")
+    rows_text, cols_text = text.split("x", 1)
+    return BlockShape(_parse_dims(rows_text), _parse_dims(cols_text))
+
+
 def cmd_param(args, tol: Tolerances) -> int:
     matrix = serialize.matrix_from_obj(serialize.load(args.input))
-    kind = args.kind
-    if kind == "row":
-        shape = BlockShape((matrix.shape[0],), _parse_dims(args.shape))
-        params = row_parametrize(matrix, shape, tol)
-        recon = row_reconstruct(params, tol)
-    elif kind == "column":
-        shape = BlockShape(_parse_dims(args.shape), (matrix.shape[1],))
-        params = col_parametrize(matrix, shape, tol)
-        recon = col_reconstruct(params, tol)
-    elif kind == "matrix":
-        if "x" not in args.shape:
-            raise ValueError("matrix shape must be ROWSxCOLS, e.g. 2+2x3+3")
-        rows_text, cols_text = args.shape.split("x", 1)
-        shape = BlockShape(_parse_dims(rows_text), _parse_dims(cols_text))
-        params = matrix_parametrize(matrix, shape, tol)
-        recon = matrix_reconstruct(params, tol)
-    else:
-        dims = _parse_dims(args.shape)
-        shape = BlockShape(dims, dims)
-        params = psd_parametrize(matrix, shape, tol)
-        recon = psd_reconstruct(params, tol)
+    rows, cols = matrix.shape
+    # per kind: block shape from --shape, extraction, rebuild (looked up per call)
+    kinds = {
+        "row": (lambda text: BlockShape((rows,), _parse_dims(text)),
+                row_parametrize, row_reconstruct),
+        "column": (lambda text: BlockShape(_parse_dims(text), (cols,)),
+                   col_parametrize, col_reconstruct),
+        "matrix": (_matrix_shape, matrix_parametrize, matrix_reconstruct),
+        "psd": (lambda text: BlockShape(*[_parse_dims(text)] * 2),
+                psd_parametrize, psd_reconstruct),
+    }
+    shape, parametrize, reconstruct = kinds[args.kind]
+    params = parametrize(matrix, shape(args.shape), tol)
+    recon = reconstruct(params, tol)
     err = frob(recon - matrix)
-    bound = _recon_bound(matrix, tol, psd=kind == "psd")
+    bound = _recon_bound(matrix, tol, psd=args.kind == "psd")
     if err > bound:
         raise NoFactor(f"round-trip error {err:.1e} exceeds recon_tol bound {bound:.1e}")
     print(f"roundtrip={err:.1e}", file=sys.stderr)
@@ -153,7 +158,7 @@ def cmd_dilate(args, tol: Tolerances) -> int:
         if args.simulate:
             rng = rng_from_seed(args.seed)
             n = channel.in_dim
-            size = max(1, _CHUNK_BYTES // (n * n * np.dtype(complex).itemsize))
+            size = _chunk_size(n)
             worst = 0.0
             for start in range(0, args.simulate, size):
                 # one stacked state check and Kraus sum per chunk of at most
@@ -173,7 +178,7 @@ def cmd_dilate(args, tol: Tolerances) -> int:
 def _witness_chunks(args, tol: Tolerances):
     """The trials' samples, generated in chunks of at most ``_CHUNK_BYTES``."""
     side = args.block_dim * _block_count(args.family, args.blocks)
-    size = max(1, _CHUNK_BYTES // max(1, side * side * np.dtype(complex).itemsize))
+    size = _chunk_size(side)
     seeds = [args.seed + trial for trial in range(args.trials)]
     for start in range(0, len(seeds), size):
         yield _gen_samples(args.family, args.block_dim, seeds[start:start + size], tol,

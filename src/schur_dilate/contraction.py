@@ -260,13 +260,16 @@ class _Overshoot(NoFactor):
         self.indices = indices
 
 
-def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
-                 rows: np.ndarray | None = None, cols: np.ndarray | None = None,
-                 damp: bool = True, checked: bool = True) -> tuple[np.ndarray, DefectPair]:
+def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.ndarray,
+                 cols: np.ndarray, damp: bool = True,
+                 checked: bool = True) -> tuple[np.ndarray, DefectPair]:
     """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, and
     both defects of each, from two stacked SVDs.
 
-    The arithmetic of ``solve_contraction_factor(dacc_i*, blk_i*)*`` and
+    The i-th problem is the leading ``rows[i] x rows[i]`` corner of
+    ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
+    Gamma_i and its defects come back padded with exact zeros.  The
+    arithmetic is that of ``solve_contraction_factor(dacc_i*, blk_i*)*`` and
     ``defects``, on internal arrays, so without their input checks: one SVD
     gives the pseudoinverse of ``dacc_i``, whose solve must leave no
     residual beyond the slack, and one full SVD of Gamma_i gives the norm
@@ -276,17 +279,9 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
     ``solve_contraction_factor``; without ``damp``, ``_Overshoot`` names
     all such solves instead.  Without ``checked``, neither the solve's
     residual nor the damped fallback's is checked.
-
-    With ``rows`` and ``cols``, the i-th problem is the leading ``rows[i] x
-    rows[i]`` corner of ``dacc_i`` and ``rows[i] x cols[i]`` corner of
-    ``blk_i``, zero-padded; Gamma_i and its defects come back padded with
-    exact zeros.
     """
     x, y = dagger(dacc), dagger(blk)
     side = x.shape[-1]
-    padded = rows is not None
-    if not padded:
-        rows, cols = side, y.shape[-2]
     xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
     gs = y @ xinv
     if checked:
@@ -301,7 +296,7 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
     if beyond.size and not damp:
         raise _Overshoot(beyond)
     for i in beyond:
-        p, q = (rows[i], cols[i]) if padded else (rows, cols)
+        p, q = rows[i], cols[i]
         g[i] = 0.0
         g[i, :p, :q] = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
         u[i], s[i], vh[i] = _full_svd(g[i])
@@ -311,7 +306,7 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances,
         k = s.shape[-1]
         g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
     pair = _defect_pair(u, s, vh, tol)
-    if not padded or (rows.min() == side and cols.min() == g.shape[-1]):
+    if rows.min() == side and cols.min() == g.shape[-1]:
         return g, pair
     return g * _corner_mask(rows, cols, side), DefectPair(pair.d_t * _corner_mask(cols, cols, side),
                                                           pair.d_t_star * _corner_mask(rows, rows, side))

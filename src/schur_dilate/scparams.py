@@ -265,7 +265,7 @@ def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
             u, s, _ = np.linalg.svd(np.hstack((d_star, t[:, off[k]:])), full_matrices=False)
             pu, _, pvh = np.linalg.svd(dacc)
             dacc = (u * s) @ dagger(u) @ pu @ pvh
-        g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
+        g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
         gammas.append(g[0])
         pairs.append(DefectPair(pair.d_t[0], pair.d_t_star[0]))
         dacc = dacc @ pairs[-1].d_t_star
@@ -338,12 +338,10 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     grid, at a time, pinning its row-row and column-column couplings, which
     are zero by structure.
 
-    The uncut stages go first, so every solve keeps its residual check.  A
-    unit singular value of ``T`` makes the embedding singular, and then, as
-    for a rank-deficient psd input, a result must rebuild ``T`` within
-    ``recon_tol``.  If the uncut stages fail, or leave such a rebuild error,
-    the stages cut at ``zero_level(1)`` run, and their result must rebuild
-    ``T`` within ``recon_tol``.
+    The uncut stages go first, then the stages cut at ``zero_level(1)``
+    (``_first_pass``).  A unit singular value of ``T`` makes the embedding
+    singular (its least eigenvalue is ``1 - ||T||``), and then, as for a
+    singular psd input, every result must rebuild ``T`` within ``recon_tol``.
     """
     t = as_matrix(t)
     norm = _contraction_norm(t, tol)
@@ -365,21 +363,9 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
         return MatrixContractionParams(((g[n - 1 - i, i + j, :d, :c] for j, c in enumerate(cd))
                                         for i, d in enumerate(rd)), shape)
 
-    def rebuilds(params):
-        return frob(matrix_reconstruct(params, tol) - t) <= _recon_bound(t, tol)
-
     cut = zero_level(1.0, tol)
-    try:
-        params = grid(0.0)
-        # the least eigenvalue of the embedding is 1 - ||T||
-        if norm < 1.0 - cut or rebuilds(params):
-            return params
-    except NoFactor:
-        pass
-    params = grid(cut)
-    if not rebuilds(params):
-        raise NoFactor("round-trip error above recon_tol after the rank cut")
-    return params
+    return _first_pass(t, (0.0, cut), norm >= 1.0 - cut, grid,
+                       lambda params: matrix_reconstruct(params, tol), _recon_bound(t, tol))
 
 
 def matrix_reconstruct(params: MatrixContractionParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -575,9 +561,8 @@ def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
 
 def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveSCParams:
     """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
-    singular values up to ``sqrt(cut)`` counting as zero; a cut can drop a real
-    coupling, so then the result must rebuild ``a`` within ``_recon_bound``.
-    """
+    singular values up to ``sqrt(cut)`` counting as zero.  A cut can drop a
+    real coupling; ``_first_pass`` checks what a cut costs."""
     dims = shape.row_dims
     n = len(dims)
     side = max(dims)
@@ -585,15 +570,29 @@ def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveS
     diag = np.arange(n)
     roots = _padded_roots(blocks[diag, diag], dims, side, tol, cut)
     gammas = _psd_stages(blocks, roots, dims, cut, tol)
-    params = PositiveSCParams(
+    return PositiveSCParams(
         tuple(roots[i, :d, :d] for i, d in enumerate(dims)),
         # views, each frozen (copied) in turn, so they are never all alive at once
         ((gammas[k, m, :dims[k], :dims[k + 1 + m]] for m in range(n - 1 - k))
          for k in range(n)),
         shape)
-    if cut and frob(psd_reconstruct(params, tol) - a) > _recon_bound(a, tol, psd=True):
-        raise NoFactor("round-trip error above recon_tol after the rank cut")
-    return params
+
+
+def _first_pass(a, levels, singular: bool, extract, rebuild, bound: float):
+    """``extract(level)`` of the first of two ``levels`` whose result is kept:
+    it must rebuild ``a`` within ``bound`` if its level cuts, which can drop
+    a real coupling, or if ``a`` is ``singular``; an uncut pass on a
+    nonsingular input is trusted, since its solves are checked."""
+    for second, level in enumerate(levels):
+        try:
+            params = extract(level)
+        except NoFactor:
+            if second:
+                raise
+            continue
+        if not (level or singular) or frob(rebuild(params) - a) <= bound:
+            return params
+    raise NoFactor("round-trip error above recon_tol" + (" after the rank cut" if level else ""))
 
 
 def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | None = None):
@@ -726,8 +725,7 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
         at = np.setdiff1d(diag[lo:hi], fixed) if fixed else slice(lo, hi)  # rows solved for
         free = at - lo if fixed else slice(None)  # their places in rj
         if len(fixed) < hi - lo:
-            problem = (m_acc[at], rj[free], tol,
-                       *((sizes[at], sizes[lag:][at]) if min(dims) < side else ()))
+            problem = m_acc[at], rj[free], tol, sizes[at], sizes[lag:][at]
             try:
                 gj, pair = _gamma_steps(*problem, damp=False, checked=not cut)
             except _Overshoot as exc:
@@ -773,7 +771,7 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     on full-rank inputs; on rank-deficient ones rounding-level singular
     values can cost it sqrt(eps) or push a solve past norm 1.  The pass cut
     at ``zero_level(max|a|)`` goes first when the least eigenvalue of ``a``
-    is that low; the other runs only if the first fails.
+    is that low; the other runs only if the first fails (``_first_pass``).
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -783,11 +781,10 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     if not check:
         raise NotPSD(f"minimum eigenvalue {check.min_eigenvalue:.3e}")
     cut = zero_level(np.abs(a).max(initial=0.0), tol)
-    cuts = (cut, 0.0) if check.min_eigenvalue <= cut else (0.0, cut)
-    try:
-        return _psd_extract(a, shape, cuts[0], tol)
-    except NoFactor:
-        return _psd_extract(a, shape, cuts[1], tol)
+    singular = check.min_eigenvalue <= cut
+    return _first_pass(a, (cut, 0.0) if singular else (0.0, cut), singular,
+                       lambda level: _psd_extract(a, shape, level, tol),
+                       lambda params: psd_reconstruct(params, tol), _recon_bound(a, tol, psd=True))
 
 
 def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

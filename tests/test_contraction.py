@@ -239,7 +239,7 @@ def same_bits(a, b):
 def one_step(dacc, blk, tol=Tolerances()):
     """Gamma with ``dacc Gamma = blk`` and its defects: ``_gamma_steps`` on a
     stack of one."""
-    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol)
+    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
     return g[0], DefectPair(pair.d_t[0], pair.d_t_star[0])
 
 
@@ -332,10 +332,11 @@ def test_gamma_steps_without_damping_name_every_overshoot():
     beyond = [i for i, (x, y) in enumerate(problems)
               if opnorm(_solve(dagger(x), dagger(y), Tolerances())) > 1.0 + CLIP_SLACK]
     assert beyond == [1, 3]
+    sizes = np.full(4, 3), np.full(4, 2)
     with pytest.raises(_Overshoot) as info:
-        _gamma_steps(dacc, blk, Tolerances(), damp=False)
+        _gamma_steps(dacc, blk, Tolerances(), *sizes, damp=False)
     assert info.value.indices.tolist() == beyond
-    g, _ = _gamma_steps(dacc, blk, Tolerances())
+    g, _ = _gamma_steps(dacc, blk, Tolerances(), *sizes)
     for i in beyond:
         assert same_bits(g[i], one_step(*problems[i])[0])
         assert opnorm(g[i]) <= 1.0

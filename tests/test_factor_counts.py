@@ -14,7 +14,9 @@ identities, so a gamma costs the SVD of its solve and its own.  Every
 rebuild, of a row, column, block or positive matrix, is one walk over its
 grid of gammas at products only, with the defects of all its same-shaped
 gammas from one stacked SVD; the two defect factors of a grid walk the grid
-and its adjoint-transposed grid on the same defects.  ``eigh`` is left to
+and its adjoint-transposed grid on the same defects.  An extraction rebuilds
+its input only to check a pass that cuts or runs on a singular input: a
+rank-deficient psd matrix, or a contraction of norm one.  ``eigh`` is left to
 the positive roots of diagonal blocks, one stacked call per block size.
 The pseudoinverses are SVDs of their own, so extraction gates count
 ``svd``, ``pinv`` and ``norm2`` together.  The counts below are ceilings on
@@ -39,17 +41,27 @@ def counts(monkeypatch):
     seen = collections.Counter()
     eigh, svd, pinv, norm = np.linalg.eigh, np.linalg.svd, np.linalg.pinv, np.linalg.norm
     eigvalsh, block, apply = np.linalg.eigvalsh, np.block, maps.MatrixLinearMap.apply
-    gamma_steps = scparams._gamma_steps
+    gamma_steps, stages = scparams._gamma_steps, scparams._psd_stages
 
     def counting_eigh(*args, **kwargs):
         seen["eigh"] += 1
         return eigh(*args, **kwargs)
 
     def counting_svd(a, *args, **kwargs):
-        # "matrices" sums the stack sizes of the SVD calls
+        # "matrices" sums the stack sizes of the SVD calls; those outside
+        # the lag stages are a parametrization's rebuilds
         seen["svd"] += 1
         seen["matrices"] += int(np.prod(np.shape(a)[:-2]))
+        seen["rebuild svd"] += not seen["in stages"]
         return svd(a, *args, **kwargs)
+
+    def counting_stages(blocks, roots, dims, cut, *args, **kwargs):
+        seen["cut passes" if cut else "uncut passes"] += 1
+        seen["in stages"] += 1
+        try:
+            return stages(blocks, roots, dims, cut, *args, **kwargs)
+        finally:
+            seen["in stages"] -= 1
 
     def counting_gamma_steps(dacc, *args, **kwargs):
         seen["gammas"] += len(dacc)
@@ -84,6 +96,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
     monkeypatch.setattr(scparams, "_gamma_steps", counting_gamma_steps)
+    monkeypatch.setattr(scparams, "_psd_stages", counting_stages)
     return seen
 
 
@@ -163,6 +176,30 @@ def test_row_and_column_counts(counts, kind):
     assert counts["gammas"] == 16
     assert counts["svd"] <= 32
     assert counts["matrices"] <= 32
+
+
+def test_rank_deficient_psd_takes_one_checked_cut_pass(counts):
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+    counts.clear()
+    scparams.psd_parametrize(g.conj().T @ g, scparams.BlockShape((4,) * 4, (4,) * 4))
+    # rank 3 of 16: the cut pass goes first, and its one rebuild (the
+    # defects of its six 4 x 4 gammas from one stacked SVD) passes
+    assert (counts["cut passes"], counts["uncut passes"]) == (1, 0)
+    assert counts["rebuild svd"] == 1
+
+
+def test_norm_one_grid_takes_one_checked_uncut_pass(counts):
+    rng = np.random.default_rng(6)
+    u, s, vh = np.linalg.svd(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    s = 0.9 * s / s[0]
+    s[0] = 1.0
+    counts.clear()
+    scparams.matrix_parametrize((u * s) @ vh, scparams.BlockShape((2,) * 4, (2,) * 4))
+    # the embedding [[I, T], [T*, I]] is singular, so the uncut pass, which
+    # goes first, must rebuild T, and does
+    assert (counts["cut passes"], counts["uncut passes"]) == (0, 1)
+    assert counts["rebuild svd"] == 1
 
 
 def rebuild_inputs():

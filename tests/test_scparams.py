@@ -458,6 +458,32 @@ def test_psd_cut_pass_accepts_a_clamped_negative_eigenvalue(monkeypatch):
     np.testing.assert_array_equal(psd_reconstruct(params, tol), np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("a, dims", [(np.ones((2, 2)), (1, 1)),
+                                     (np.kron(np.ones((3, 3)), np.eye(2)), (2, 2, 2))])
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-6])
+def test_psd_uncut_pass_on_a_singular_input_must_round_trip(monkeypatch, a, dims, scale):
+    # a singular input takes the cut pass first; when that fails, the uncut
+    # pass that follows must rebuild the input too.  Its roots scaled by
+    # 1 + 1e-6 do not, and that result is refused instead of returned
+    extract = scparams._psd_extract
+
+    def uncut_only(a, shape, cut, tol):
+        if cut:
+            raise NoFactor("the cut pass fails")
+        params = extract(a, shape, cut, tol)
+        return PositiveSCParams(tuple(scale * r for r in params.diag_roots), params.gammas,
+                                shape)
+
+    monkeypatch.setattr(scparams, "_psd_extract", uncut_only)
+    shape = BlockShape(dims, dims)
+    assert is_psd(a).min_eigenvalue <= 1e-10 * np.abs(a).max()
+    if scale == 1.0:
+        np.testing.assert_allclose(psd_reconstruct(psd_parametrize(a, shape)), a, atol=1e-12)
+    else:
+        with pytest.raises(NoFactor, match="round-trip"):
+            psd_parametrize(a, shape)
+
+
 def test_psd_roundtrip_random():
     rng = rng_from_seed(61)
     for _ in range(30):

@@ -500,7 +500,8 @@ def bottom_up_extract(a, dims, cut, tol=DEFAULT_TOL):
     """Roots and gammas of ``a`` from the bottom-up row loop: the row
     contraction of block k is ``L_k^+ a[k, >k] chol^+``, solved against the
     whole Cholesky factor of the trailing corner, which then grows by one
-    block row.  A cut pass must round-trip, as in ``_psd_extract``."""
+    block row.  A cut pass must round-trip, as in ``psd_parametrize``'s
+    ``_first_pass``."""
     n = len(dims)
     off = np.cumsum((0,) + tuple(dims))
     roots = [sqrt_psd(hermitian_part(a[off[i]:off[i + 1], off[i]:off[i + 1]]), tol, cut)
