@@ -13,11 +13,13 @@ matrices.  The two solve operations realize the closed-form factorizations
 the pseudoinverse extends the factor by zero off the closed range, which is
 also the normalization making Gamma unique.
 
-An extracted gamma costs two SVDs, one stacked SVD per rebuild: extraction
-takes one SVD for the pseudoinverse and one of Gamma itself, which gives its
-norm test, its clip and both its defects (``_gamma_steps``, stacked over
-the gammas solved at once); a rebuild knows all its gammas up front and
-takes their defects from one stacked SVD.
+An extracted gamma costs at most two SVDs, one stacked SVD per rebuild:
+extraction takes one SVD of Gamma itself, which gives its norm test, its
+clip, both its defects and, where ``1 - s^2`` is clear of zero, both their
+inverses (``_gamma_steps``, stacked over the gammas solved at once), and one
+SVD for the pseudoinverse of its solve unless the caller carries the
+inverse; a rebuild knows all its gammas up front and takes their defects
+from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -97,13 +99,31 @@ def _pad_ones(root: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((root, np.ones(root.shape[:-1] + (n - root.shape[-1],))), axis=-1)
 
 
+def _spectral_pair(u: np.ndarray, vh: np.ndarray, root: np.ndarray):
+    """``V diag(root) V*`` and ``U diag(root) U*`` from a full SVD ``U S V*``,
+    ``root`` extended by ones on each side's excess dimensions."""
+    d_t = (dagger(vh) * _pad_ones(root, vh.shape[-1])[..., np.newaxis, :]) @ vh
+    d_t_star = (u * _pad_ones(root, u.shape[-1])[..., np.newaxis, :]) @ dagger(u)
+    return d_t, d_t_star
+
+
 def _defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: Tolerances) -> DefectPair:
     """Both defects from the full SVD ``T = U S V*`` of a matrix or a stack."""
     w = (1.0 - s) * (1.0 + s)
-    root = np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w))
-    d_t = (dagger(vh) * _pad_ones(root, vh.shape[-1])[..., np.newaxis, :]) @ vh
-    d_t_star = (u * _pad_ones(root, u.shape[-1])[..., np.newaxis, :]) @ dagger(u)
+    d_t, d_t_star = _spectral_pair(u, vh, np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w)))
     return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
+
+
+def _inverse_defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
+                         tol: Tolerances) -> tuple[DefectPair, np.ndarray]:
+    """``D_T^-1`` and ``D_T*^-1`` of each matrix of a stack from the same
+    full SVD as ``_defect_pair``, and whether each has them: no ``1 - s^2``
+    at or below ``zero_level(1)``, which ``_defect_pair`` zeroes.  Where
+    not, its inverses are meaningless (their roots are set to 1)."""
+    w = (1.0 - s) * (1.0 + s)
+    clear = w > zero_level(1.0, tol)
+    return (DefectPair(*_spectral_pair(u, vh, 1.0 / np.sqrt(np.where(clear, w, 1.0)))),
+            clear.all(axis=-1))
 
 
 def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
@@ -261,10 +281,10 @@ class _Overshoot(NoFactor):
 
 
 def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.ndarray,
-                 cols: np.ndarray, damp: bool = True,
-                 checked: bool = True) -> tuple[np.ndarray, DefectPair]:
+                 cols: np.ndarray, damp: bool = True, checked: bool = True,
+                 inverse: tuple[np.ndarray, np.ndarray] | None = None):
     """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, and
-    both defects of each, from two stacked SVDs.
+    both defects of each, from at most two stacked SVDs.
 
     The i-th problem is the leading ``rows[i] x rows[i]`` corner of
     ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
@@ -279,16 +299,38 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
     ``solve_contraction_factor``; without ``damp``, ``_Overshoot`` names
     all such solves instead.  Without ``checked``, neither the solve's
     residual nor the damped fallback's is checked.
+
+    With ``inverse = (dinv, known)``, ``dinv_i`` is the inverse of
+    ``dacc_i``'s corner where ``known_i``: those solves take it in place of
+    a pseudoinverse, so the SVD for the pseudoinverses covers the other
+    problems only, and none is made if every one is known.  A carried
+    inverse matches the rounded ``dacc_i`` only to its own rounding, so the
+    solve takes one step of refinement against ``dacc_i``, from the
+    residual the check reads (which is that of the unrefined solve).  The
+    result is then ``(g, pair, inverse_pair, invertible)``, with the
+    inverses of both defects from the same SVD of Gamma_i
+    (``_inverse_defect_pair``).
     """
     x, y = dagger(dacc), dagger(blk)
     side = x.shape[-1]
-    xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
+    if inverse is None:
+        xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
+    else:
+        xinv = dagger(inverse[0])
+        if not inverse[1].all():
+            rest = np.flatnonzero(~inverse[1])
+            xinv[rest], _ = _pinv_stack(x[rest], _rank_rconds(rows[rest], _frobs(x[rest]), tol,
+                                                              _solve_atol(rows[rest], tol)))
     gs = y @ xinv
+    if checked or inverse is not None:
+        res = gs @ x - y
     if checked:
-        residual = _frobs(gs @ x - y)
+        residual = _frobs(res)
         bad = residual > CLIP_SLACK * np.maximum(1.0, _frobs(y))
         if bad.any():
             raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad][0]:.3e}")
+    if inverse is not None:  # one step of refinement against dacc itself
+        gs -= (res * inverse[1][:, np.newaxis, np.newaxis]) @ xinv
     g = dagger(gs)
     u, s, vh = _full_svd(g)
     norms = s[:, 0]  # a view: follows the damped rows' updates below
@@ -305,11 +347,17 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
         s = np.minimum(s, 1.0)
         k = s.shape[-1]
         g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
-    pair = _defect_pair(u, s, vh, tol)
-    if rows.min() == side and cols.min() == g.shape[-1]:
-        return g, pair
-    return g * _corner_mask(rows, cols, side), DefectPair(pair.d_t * _corner_mask(cols, cols, side),
-                                                          pair.d_t_star * _corner_mask(rows, rows, side))
+    pairs = [_defect_pair(u, s, vh, tol)]
+    if inverse is not None:
+        inverse_pair, invertible = _inverse_defect_pair(u, s, vh, tol)
+        pairs.append(inverse_pair)
+    if rows.min() < side or cols.min() < g.shape[-1]:
+        g = g * _corner_mask(rows, cols, side)
+        col_mask, row_mask = _corner_mask(cols, cols, side), _corner_mask(rows, rows, side)
+        pairs = [DefectPair(p.d_t * col_mask, p.d_t_star * row_mask) for p in pairs]
+    if inverse is None:
+        return g, pairs[0]
+    return g, pairs[0], pairs[1], invertible
 
 
 def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsometryFactor:

@@ -24,19 +24,26 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``.  Every extraction
-runs the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive matrix
-depends only on the principal block ``a[i..j]``, so one stage per lag
-``j - i`` serves every row at once, at three stacked SVDs, after one
-stacked ``eigh`` for the roots.  ``T`` is a contraction iff
-``[[I, T], [T*, I]] >= 0``, and with the row blocks of ``T`` reversed its
-grid is the corner of that matrix's psd parameters coupling row blocks to
-column blocks, one anti-diagonal per lag; the other couplings are zero by
-structure, pinned and never solved.  A row contraction is a 1 x m grid and
-a column contraction the adjoint of the 1 x n grid of ``T*``, at two SVDs
-per gamma.  A rebuild knows all its gammas up front and takes their defects
-from one stacked SVD (one per distinct gamma shape).  Every rebuild, a
-column contraction's as an n x 1 grid, is one walk over a grid
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, and where
+``1 - s^2`` is clear of zero their inverses too.  Every extraction runs
+the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive matrix depends
+only on the principal block ``a[i..j]``, so one stage per lag ``j - i``
+serves every row at once, after one stacked ``eigh`` for the roots and one
+stacked SVD for their pseudoinverses.  An interior lag takes one stacked
+SVD, the gammas': the pivots and the solves go through inverses carried
+from lag to lag as products of those defect inverses (``_psd_pass``).  A
+row whose carried inverse grows past ``_inverse_bound``, as next to a
+near-unit parameter, a rescued row, a cut pass and a singular input take
+pseudoinverses instead, one stacked SVD each for the pivots and the solves
+of those rows.  ``T`` is a contraction iff ``[[I, T], [T*, I]] >= 0``,
+and with the row blocks of ``T`` reversed its grid is the corner of that
+matrix's psd parameters coupling row blocks to column blocks, one
+anti-diagonal per lag; the other couplings are zero by structure, pinned
+and never solved.  A row contraction is a 1 x m grid and
+a column contraction the adjoint of the 1 x n grid of ``T*``, at one SVD
+per interior gamma.  A rebuild knows all its gammas up front and takes
+their defects from one stacked SVD (one per distinct gamma shape).  Every
+rebuild, a column contraction's as an n x 1 grid, is one walk over a grid
 (``_grid_walk``): block row j of ``T*`` is the row contraction of block
 column j's adjoint gammas applied to ``x = F_{j-1}* ... F_0*``, ``F_i`` the
 lower defect factor of that row, and ``_column_walk`` gives it and the next
@@ -49,9 +56,11 @@ split reassembles through ``julia_block`` and ``with_freedom``.
 
 Extraction is total on (numerical) contractions: every solve is a
 pseudoinverse solve, which picks the unique parameter vanishing off the
-relevant range, and extracted factors with norm in ``(1, 1 + CLIP_SLACK]``
-are clipped back to the unit ball, to norm 1 up to rounding: the clipped
-factor is rebuilt from its SVD, so its norm can read a few eps above 1.0.
+relevant range (a carried inverse stands in only where the pseudoinverse
+would cut nothing), and extracted factors with norm in ``(1, 1 +
+CLIP_SLACK]`` are clipped back to the unit ball, to norm 1 up to rounding:
+the clipped factor is rebuilt from its SVD, so its norm can read a few eps
+above 1.0.
 """
 
 from __future__ import annotations
@@ -342,6 +351,13 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     (``_first_pass``).  A unit singular value of ``T`` makes the embedding
     singular (its least eigenvalue is ``1 - ||T||``), and then, as for a
     singular psd input, every result must rebuild ``T`` within ``recon_tol``.
+
+    On a nonsingular embedding an interior lag costs one stacked SVD, the
+    gammas': the pivots and the solves go through carried inverses, and a
+    row leaves them for pseudoinverses once its carried inverse exceeds
+    ``_inverse_bound``, as next to a near-unit parameter.  A singular one
+    carries none: a carried result that missed the round-trip bound would
+    skip the pseudoinverse pass that might meet it.
     """
     t = as_matrix(t)
     norm = _contraction_norm(t, tol)
@@ -357,14 +373,15 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     sizes = np.array(dims)
     roots = (np.eye(side) * _corner_mask(sizes, sizes, side)).astype(complex)
     blocks = _padded_blocks(emb, dims, side)
+    cut = zero_level(1.0, tol)
+    singular = norm >= 1.0 - cut
 
     def grid(level):
-        g = _psd_stages(blocks, roots, dims, level, tol, split=n)
+        g = _psd_stages(blocks, roots, dims, level, tol, split=n, carry=not singular)
         return MatrixContractionParams(((g[n - 1 - i, i + j, :d, :c] for j, c in enumerate(cd))
                                         for i, d in enumerate(rd)), shape)
 
-    cut = zero_level(1.0, tol)
-    return _first_pass(t, (0.0, cut), norm >= 1.0 - cut, grid,
+    return _first_pass(t, (0.0, cut), singular, grid,
                        lambda params: matrix_reconstruct(params, tol), _recon_bound(t, tol))
 
 
@@ -559,17 +576,19 @@ def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
     return bound
 
 
-def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances) -> PositiveSCParams:
+def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances,
+                 carry: bool = True) -> PositiveSCParams:
     """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
     singular values up to ``sqrt(cut)`` counting as zero.  A cut can drop a
-    real coupling; ``_first_pass`` checks what a cut costs."""
+    real coupling; ``_first_pass`` checks what a cut costs.  ``carry`` is
+    that of ``_psd_stages``."""
     dims = shape.row_dims
     n = len(dims)
     side = max(dims)
     blocks = _padded_blocks(a, dims, side)
     diag = np.arange(n)
     roots = _padded_roots(blocks[diag, diag], dims, side, tol, cut)
-    gammas = _psd_stages(blocks, roots, dims, cut, tol)
+    gammas = _psd_stages(blocks, roots, dims, cut, tol, carry=carry)
     return PositiveSCParams(
         tuple(roots[i, :d, :d] for i, d in enumerate(dims)),
         # views, each frozen (copied) in turn, so they are never all alive at once
@@ -595,7 +614,8 @@ def _first_pass(a, levels, singular: bool, extract, rebuild, bound: float):
     raise NoFactor("round-trip error above recon_tol" + (" after the rank cut" if level else ""))
 
 
-def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | None = None):
+def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | None = None,
+                carry: bool = True):
     """Gammas of the padded block grid ``blocks``, ``[k, m]`` coupling block k
     to block k + 1 + m.
 
@@ -636,10 +656,25 @@ def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | N
     (``_damped_solve``).  The cut pass checks neither solve residuals nor
     damped factors: along a direction the cut drops the data need not be
     consistent, and its round-trip check bounds what both cost.
+
+    With ``carry``, an uncut pass solves steps 1 and 2 through carried
+    inverses instead of pseudoinverses where they are well conditioned
+    (``_psd_pass``), so such a lag takes one stacked SVD, the gammas'.  Next
+    to a near-unit parameter the outcome of a solve can turn on the last
+    bits of a defect, so a carried pass that raises ``NoFactor`` is run
+    again without carried inverses, in the arithmetic of the cut pass: the
+    carried path never loses an input that pseudoinverses extract.
     """
+    carry = carry and not cut
     pinned: dict[int, tuple] = {}
     while True:
-        gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned, split)
+        try:
+            gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned, split, carry)
+        except NoFactor:
+            if not carry:
+                raise
+            carry, pinned = False, {}
+            continue
         if not clipped:
             return gammas
         pinned.update(clipped)
@@ -667,12 +702,51 @@ def _rescue_row(blocks, roots, root_pinv, g, dims, k: int, j: int, atol: float,
         return _row_extract(row, sub, tol, tail=True)
 
 
+def _inverse_bound(tol: Tolerances, size: int) -> float:
+    """Bound on the Frobenius norm of a carried inverse ``A^-1``, for ``A``
+    of norm at most 1 (a pivot is scaled by the Frobenius norm of its
+    trailing factor), under which it stands in for a pseudoinverse.
+
+    Below it the least singular value sigma of A exceeds ``sqrt(eps /
+    zero_level(1))``.  A defect of a gamma with a singular value near 1 is
+    known only to about ``eps / sigma^2``, relative, and so are the
+    products and inverses made of it; the bound keeps that under
+    ``zero_level(1)``, so that rows next to near-unit parameters, whose
+    solves overshoot norm one or are rescued by rounding-level margins,
+    stay on the pseudoinverse path.  The pseudoinverses it replaces would
+    cut nothing below it either: their cutoffs are at most the larger of
+    ``zero_level(1)`` (the solves' ``_solve_atol``) and the relative rank
+    cutoff of a matrix of side ``size`` (the pivots' floor).
+    """
+    level = zero_level(1.0, tol)
+    rcond = float(_rank_rconds(size, np.ones(1), tol)[0])
+    return 1.0 / max(np.sqrt(np.finfo(float).eps / level), level, rcond)
+
+
 def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
-              split: int | None):
+              split: int | None, carry: bool):
     """One pass of ``_psd_stages``: the gammas, or None and the rows to pin.
 
     ``pinned[k]`` holds the leading gammas of row k and their defect pairs,
     which are used instead of solving for them.
+
+    With ``carry``, inverses stand in for the pseudoinverses of the pivots
+    and the solves.  Row k's solve operator grows as ``M_k <- M_k
+    D_{Gamma*}``, so ``M_k^-1 <- D_{Gamma*}^-1 M_k^-1``: one stacked product
+    per lag.  Its pivot is ``C^(k+1)[j, j] = D_{Gamma_{k+1,j}} C^(k+2)[j,
+    j]``, the row below's previous pivot times a defect, so its inverse is
+    that row's previous pivot inverse times ``D_{Gamma_{k+1,j}}^-1``: one
+    shifted stacked product per lag.  At lag 1 the pivots are the roots,
+    whose pseudoinverses are taken up front, and a carried pivot inverse
+    starts only from a root of full rank.  The inverses of both defects
+    come from each gamma's SVD (``_gamma_steps``), so a lag on this path
+    takes that SVD alone; each solve through a carried inverse takes one
+    step of refinement against the matrix it inverts.  A carried inverse
+    stays in use while every defect in it has an inverse and its Frobenius
+    norm, relative to the scale of what it inverts, stays within
+    ``_inverse_bound``.  Past that, and for pinned rows, the row's solves
+    (or its pivots, one column at a time) are pseudoinverse solves as in a
+    cut pass, stacked over just those rows of the lag.
     """
     n = len(dims)
     side = roots.shape[-1]
@@ -687,10 +761,18 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
     # [k, m]: row k's gamma into block k + 1 + m, its defects and its solved r block
     g, d_t, d_t_star, r = (np.zeros((n - 1, n - 1, side, side), dtype=complex) for _ in range(4))
     if split is None:
-        root_pinv, _ = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
+        root_pinv, root_rank = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
     else:  # identity roots; the walks pass x through the pinned zeros' D_Gamma = I
-        root_pinv = roots
+        root_pinv, root_rank = roots, sizes
         d_t[1:split] = roots[np.minimum(np.add.outer(diag[2:split + 1], diag[:-1]), n - 1)]
+    # the inverse path: by row, M_k^-1 while solve_ok, the pivot's inverse
+    # while pivot_ok, and D_Gamma^-1 of the last gamma if inv_ok
+    bound = _inverse_bound(tol, off[-1])
+    m_inv = m_acc.copy()
+    solve_ok = np.full(n - 1, carry)
+    solve_ok[list(pinned)] = False
+    pivot_inv, pivot_ok = root_pinv[1:].copy(), (root_rank == sizes)[1:] & carry
+    d_t_inv, inv_ok = np.zeros_like(m_acc), np.zeros(n - 1, dtype=bool)
     cols, c0 = roots[1:, np.newaxis], 0  # cols[k - c0, p] = C^(k+1)[k+1+p, k+lag], at lag 1
     for lag in range(1, n):
         rows = n - lag
@@ -709,15 +791,34 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
             else:
                 first, last = np.arange(lo + 1, real + 1), np.arange(lo + lag + 1, real + lag + 1)
                 scale = np.sqrt(sq_norms[last] - sq_norms[first])
-                floor = _rank_rconds(off[last] - off[first], scale, tol, atol) * scale
-                pivot_pinv, _ = _pinv_stack(
-                    pivot, _rank_rconds(sizes[first + lag - 1], _frobs(pivot), tol, atol), floor)
-            rj[:p] = (rj[:p] - known) @ pivot_pinv
+                if carry:
+                    if split is not None and real == split - 1:
+                        pivot_inv[real] = roots[real + lag - 1]  # row split - 1's last pivot
+                    below = slice(lo + 1, real + 1)
+                    pivot_inv[lo:real] = pivot_inv[below] @ d_t_inv[below]
+                    ok = pivot_ok[below] & inv_ok[below]
+                    if not ok.all():  # a chain once broken stays at zero
+                        pivot_inv[lo:real] *= ok[:, np.newaxis, np.newaxis]
+                    pivot_ok[lo:real] = ok & (_frobs(pivot_inv[lo:real]) * scale < bound)
+                pivot_pinv = pivot_inv[lo:real]
+                if not pivot_ok[lo:real].all():
+                    bad = np.flatnonzero(~pivot_ok[lo:real])
+                    first, last, scale, sub = first[bad], last[bad], scale[bad], pivot[bad]
+                    floor = _rank_rconds(off[last] - off[first], scale, tol, atol) * scale
+                    pivot_pinv = pivot_pinv.copy()
+                    pivot_pinv[bad], _ = _pinv_stack(
+                        sub, _rank_rconds(sizes[first + lag - 1], _frobs(sub), tol, atol), floor)
+            rhs = rj[:p] - known
+            rj[:p] = rhs @ pivot_pinv
+            if carry and lag > 1:  # one step of refinement through each carried pivot inverse
+                res = (rj[:p] @ pivot - rhs) * pivot_ok[lo:real, np.newaxis, np.newaxis]
+                rj[:p] -= res @ pivot_pinv
         if min(dims) < side:
             rj *= _corner_mask(sizes[lo:hi], sizes[lo + lag:hi + lag], side)
         r[lo:real, lag - 1] = rj[:p]  # only rows with a pivot read r
         fixed = [k for k, (gammas, _) in pinned.items() if lo <= k < hi and len(gammas) >= lag]
         for k in fixed:
+            inv_ok[k] = False
             gk, pk = pinned[k][0][lag - 1], pinned[k][1][lag - 1]
             g[k, lag - 1, :gk.shape[0], :gk.shape[1]] = gk
             d_t[k, lag - 1, :gk.shape[1], :gk.shape[1]] = pk.d_t
@@ -726,8 +827,9 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
         free = at - lo if fixed else slice(None)  # their places in rj
         if len(fixed) < hi - lo:
             problem = m_acc[at], rj[free], tol, sizes[at], sizes[lag:][at]
+            carried = {"inverse": (m_inv[at], solve_ok[at])} if carry else {}
             try:
-                gj, pair = _gamma_steps(*problem, damp=False, checked=not cut)
+                out = _gamma_steps(*problem, damp=False, checked=not cut, **carried)
             except _Overshoot as exc:
                 rescued = {}
                 for k in diag[at][exc.indices]:
@@ -738,8 +840,17 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
                         pass
                 if rescued:
                     return None, rescued
-                gj, pair = _gamma_steps(*problem, checked=not cut)
+                out = _gamma_steps(*problem, checked=not cut, **carried)
+            gj, pair = out[:2]
             g[at, lag - 1], d_t[at, lag - 1], d_t_star[at, lag - 1] = gj, pair.d_t, pair.d_t_star
+            if carry:
+                inverse, invertible = out[2:]
+                d_t_inv[at], inv_ok[at] = inverse.d_t, invertible
+                ok = solve_ok[at] & invertible
+                m_inv[at] = inverse.d_t_star @ m_inv[at]
+                if not ok.all():
+                    m_inv[at] *= ok[:, np.newaxis, np.newaxis]
+                solve_ok[at] = ok & (_frobs(m_inv[at]) < bound)
         if lag == n - 1:
             break
         step = slice(lo, min(hi, rows - 1))
@@ -766,8 +877,14 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     ``Gamma_ij`` depends only on the principal block ``a[i..j]``, so each
     stage extracts the gammas of one lag for every row at once, solving
     against the columns of the previous stage's Cholesky factors
-    (``_psd_stages``).  Besides one stacked root per block size, the
-    extraction costs three stacked SVDs per lag.  The uncut pass is exact
+    (``_psd_stages``).  Besides one stacked root per block size and one
+    stacked SVD for the roots' pseudoinverses, an interior lag costs one
+    stacked SVD, the gammas': the uncut pass of a nonsingular input solves
+    through carried inverses.  Rows whose carried inverses exceed their bound
+    (next to a near-unit parameter), rescued rows and the cut pass take
+    pseudoinverses, one stacked SVD each for the pivots and the solves of
+    those rows in a lag; a singular input carries no inverses, since its
+    uncut result must round-trip.  The uncut pass is exact
     on full-rank inputs; on rank-deficient ones rounding-level singular
     values can cost it sqrt(eps) or push a solve past norm 1.  The pass cut
     at ``zero_level(max|a|)`` goes first when the least eigenvalue of ``a``
@@ -783,7 +900,7 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     cut = zero_level(np.abs(a).max(initial=0.0), tol)
     singular = check.min_eigenvalue <= cut
     return _first_pass(a, (cut, 0.0) if singular else (0.0, cut), singular,
-                       lambda level: _psd_extract(a, shape, level, tol),
+                       lambda level: _psd_extract(a, shape, level, tol, not singular),
                        lambda params: psd_reconstruct(params, tol), _recon_bound(a, tol, psd=True))
 
 

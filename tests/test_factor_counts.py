@@ -1,16 +1,19 @@
 """Factorization counts of the parametrizations, the dilations and the
 inequality suite, a deterministic cost gate.
 
-Every extraction runs the lag stages, all rows of a lag at once, at up to
-three stacked SVDs per lag: the pivots' pseudoinverses, the solves' and the
-gammas', which give their clips and both D_Gamma and D_Gamma*.  "matrices"
+Every extraction runs the lag stages, all rows of a lag at once.  An
+interior lag takes one stacked SVD, the gammas', which gives their clips,
+both D_Gamma and D_Gamma* and both their inverses: the uncut pass solves
+through carried inverses of the pivots and of the products of defects, and
+takes the pseudoinverses (one stacked SVD each for the pivots and the
+solves) only for rows whose carried inverses leave their bound.  "matrices"
 sums the stack sizes of the SVDs, "gammas" the problems solved.  A block
 contraction T is extracted as the positive matrix [[I, T], [T*, I]], whose
 roots are identities: one norm-2 for the contraction test of T, then only
 the couplings of a row block to a column block are solved, the others
 being pinned zeros.  A row contraction is its 1 x m grid, and a column
 contraction the adjoint of the 1 x n grid of T*; their pivots are
-identities, so a gamma costs the SVD of its solve and its own.  Every
+identities, so an interior gamma costs its own SVD alone.  Every
 rebuild, of a row, column, block or positive matrix, is one walk over its
 grid of gammas at products only, with the defects of all its same-shaped
 gammas from one stacked SVD; the two defect factors of a grid walk the grid
@@ -115,17 +118,16 @@ def test_psd_counts(counts):
     psd, _, _ = inputs()
     counts.clear()
     params = scparams.psd_parametrize(psd, scparams.BlockShape((4,) * 16, (4,) * 16))
-    # the 16 roots from one stacked eigh; for each of the 15 lags one stacked
-    # SVD for the pivots' pseudoinverses (at lag 1 the pivots are roots,
-    # whose pseudoinverses are taken once up front), one for the solves' and
-    # one for the gammas
+    # the 16 roots from one stacked eigh and their pseudoinverses from one
+    # stacked SVD, the pivots at lag 1; then for each of the 15 lags one
+    # stacked SVD for the gammas, whose pivots and solves go through carried
+    # inverses
     assert counts["eigh"] == 1
-    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 3 * 15
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] == 1 + 15
     assert counts["norm2"] == 0
-    # every coupling is solved; the SVDs take the 16 roots, the 105 pivots
-    # after lag 1, and the 120 solves and 120 gammas
+    # every coupling is solved; the SVDs take the 16 roots and the 120 gammas
     assert counts["gammas"] == 120
-    assert counts["matrices"] == 16 + 105 + 2 * 120
+    assert counts["matrices"] == 16 + 120
     counts.clear()
     scparams.psd_reconstruct(params)
     # the defects of all 120 gammas from one stacked SVD
@@ -139,16 +141,16 @@ def test_matrix_counts(counts):
     grid = scparams.BlockShape((2,) * 8, (2,) * 8)
     counts.clear()
     params = scparams.matrix_parametrize(t, grid)
-    # the norm test of T; the embedding has 16 blocks, so 15 lags of at most
-    # three stacked SVDs each: the pivots' pseudoinverses, the solves' and
-    # the gammas'.  Only the 64 couplings of a row block to a column block
-    # are solved; the 56 within one side are pinned zeros, and the 8 pivots
-    # of the row next to the split are identities
+    # the norm test of T; the embedding has 16 blocks, so 15 lags of one
+    # stacked SVD each, the gammas': pivots and solves go through carried
+    # inverses.  Only the 64 couplings of a row block to a column block are
+    # solved; the 56 within one side are pinned zeros, and the 8 pivots of
+    # the row next to the split are identities
     assert counts["eigh"] == 0
     assert counts["norm2"] == 1
-    assert counts["svd"] + counts["pinv"] + counts["norm2"] <= 1 + 3 * 15
+    assert counts["svd"] + counts["pinv"] + counts["norm2"] == 1 + 15
     assert counts["gammas"] == 64
-    assert counts["matrices"] <= 3 * 64
+    assert counts["matrices"] == 64
     counts.clear()
     scparams.matrix_reconstruct(params)
     # the defects of the whole grid from one stacked SVD
@@ -170,12 +172,13 @@ def test_row_and_column_counts(counts, kind):
     counts.clear()
     extract(t, shape)
     # the norm test, then the 1 x 16 grid one gamma per lag: its pivots are
-    # identities, so each gamma costs the SVD of its solve and its own
+    # identities and its solves go through the carried inverse of the
+    # product of defects, so each gamma costs its own SVD alone
     assert counts["eigh"] + counts["pinv"] == 0
     assert counts["norm2"] == 1
     assert counts["gammas"] == 16
-    assert counts["svd"] <= 32
-    assert counts["matrices"] <= 32
+    assert counts["svd"] == 16
+    assert counts["matrices"] == 16
 
 
 def test_rank_deficient_psd_takes_one_checked_cut_pass(counts):

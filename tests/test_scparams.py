@@ -467,10 +467,10 @@ def test_psd_uncut_pass_on_a_singular_input_must_round_trip(monkeypatch, a, dims
     # 1 + 1e-6 do not, and that result is refused instead of returned
     extract = scparams._psd_extract
 
-    def uncut_only(a, shape, cut, tol):
+    def uncut_only(a, shape, cut, tol, *args):
         if cut:
             raise NoFactor("the cut pass fails")
-        params = extract(a, shape, cut, tol)
+        params = extract(a, shape, cut, tol, *args)
         return PositiveSCParams(tuple(scale * r for r in params.diag_roots), params.gammas,
                                 shape)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_rebuild import matrix_rebuild, row_walk, solve_left_factor
 
-from schur_dilate import scparams
+from schur_dilate import contraction, scparams
 from schur_dilate.contraction import DefectPair, clip_to_contraction, defects
 from schur_dilate.errors import NoFactor, NotContraction
 from schur_dilate.linalg import (
@@ -580,6 +580,90 @@ def test_psd_roundtrip_where_the_bottom_up_loop_fails():
             bottom_up_extract(a, dims, cut)
     again = psd_reconstruct(psd_parametrize(a, BlockShape(dims, dims)))
     assert_close(again, a, RECON_TOL * max(1.0, frob(a)))
+
+
+NEAR_UNIT = 1 - 1e-9
+
+
+def gamma_of(rng, p, q, value):
+    """A p x q gamma whose singular values all equal ``value``."""
+    s = np.full(min(p, q), value)
+    return (random_unitary(rng, p)[:, :len(s)] * s) @ dagger(random_unitary(rng, q)[:, :len(s)])
+
+
+def psd_near_unit_coupling(seed):
+    """Blocks 2+3+4+3+4 with identity roots and gammas of singular values
+    1/2, except gamma(0, 2), whose singular values are ``NEAR_UNIT``."""
+    rng = rng_from_seed(seed)
+    dims = (2, 3, 4, 3, 4)
+    gammas = [[gamma_of(rng, p, q, NEAR_UNIT if (i, j) == (0, 2) else 0.5)
+               for j, q in enumerate(dims) if j > i] for i, p in enumerate(dims)]
+    shape = BlockShape(dims, dims)
+    return psd_reconstruct(PositiveSCParams([np.eye(d) for d in dims], gammas, shape)), shape
+
+
+def grid_near_unit_coupling(seed):
+    """A (2, 1, 3) x (1, 2, 2, 1) contraction from gammas of singular values
+    1/2, except gamma(2, 1), whose singular values are ``NEAR_UNIT``."""
+    rng = rng_from_seed(seed)
+    rows, cols = (2, 1, 3), (1, 2, 2, 1)
+    grid = [[gamma_of(rng, p, q, NEAR_UNIT if (i, j) == (2, 1) else 0.5) for j, q in enumerate(cols)]
+            for i, p in enumerate(rows)]
+    shape = BlockShape(rows, cols)
+    return matrix_rebuild(MatrixContractionParams(grid, shape)), shape
+
+
+@pytest.fixture
+def pinv_stacks(monkeypatch):
+    """Stack sizes of the pseudoinverse SVDs of the lag stages: the roots'
+    and pivots' (``scparams``) and the solves' (``contraction``)."""
+    seen = {"pivots": [], "solves": []}
+    for module, key in ((scparams, "pivots"), (contraction, "solves")):
+        def recording(a, *args, _pinv=module._pinv_stack, _key=key, **kwargs):
+            seen[_key].append(len(a))
+            return _pinv(a, *args, **kwargs)
+        monkeypatch.setattr(module, "_pinv_stack", recording)
+    return seen
+
+
+# A gamma right of a coupling with singular value 1 - delta in its row is
+# known only to about eps / delta, on either path: the reference solves
+# differ from the pseudoinverse path there by up to 1.1e-6 too.
+NEAR_UNIT_TOL = 100 * np.finfo(float).eps / (1 - NEAR_UNIT)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psd_row_leaves_the_inverse_path_after_a_near_unit_coupling(pinv_stacks, seed):
+    # The defects of gamma(0, 2) have a singular value 4.5e-5, so the
+    # carried inverse of row 0's product of defects exceeds _inverse_bound
+    # after lag 2.  In the one uncut pass row 0 solves lags 3 and 4 through
+    # pseudoinverses, one SVD of a stack of one each; every pivot after the
+    # roots and every other solve goes through carried inverses.
+    a, shape = psd_near_unit_coupling(seed)
+    assert passes(a)[0] == 0.0  # nonsingular: the uncut pass goes first
+    params = psd_parametrize(a, shape)
+    assert pinv_stacks == {"pivots": [5], "solves": [1, 1]}
+    assert frob(psd_reconstruct(params) - a) <= scparams._recon_bound(a, DEFAULT_TOL, psd=True)
+    _, ref = bottom_up_extract(a, shape.row_dims, 0.0)
+    bound = 1e-10 * max(1.0, frob(a))
+    for k, (row, ref_row) in enumerate(zip(params.gammas, ref)):
+        for m, (g, r) in enumerate(zip(row, ref_row)):
+            assert_close(g, r, NEAR_UNIT_TOL if k == 0 and m > 1 else bound)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grid_row_leaves_the_inverse_path_after_a_near_unit_coupling(pinv_stacks, seed):
+    # Grid row 2 is the embedding's row 0; past gamma(2, 1) its carried
+    # inverse exceeds the bound, so its last two gammas are solved through
+    # pseudoinverses of stacks of one.  The pivots are carried throughout.
+    t, shape = grid_near_unit_coupling(seed)
+    assert np.linalg.norm(t, 2) < 1 - zero_level(1.0)  # nonsingular embedding
+    params = matrix_parametrize(t, shape)
+    assert pinv_stacks == {"pivots": [], "solves": [1, 1]}
+    assert frob(matrix_reconstruct(params) - t) <= scparams._recon_bound(t, DEFAULT_TOL)
+    for i, (row, ref_row) in enumerate(zip(params.gammas, column_by_column(t, shape))):
+        for j, (g, r) in enumerate(zip(row, ref_row)):
+            assert_close(g, r, NEAR_UNIT_TOL if i == 2 and j > 1 else ADJOINT_TOL)
 
 
 def unit_parameter_grid(seed):
