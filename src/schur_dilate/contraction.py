@@ -13,13 +13,12 @@ matrices.  The two solve operations realize the closed-form factorizations
 the pseudoinverse extends the factor by zero off the closed range, which is
 also the normalization making Gamma unique.
 
-An extracted gamma costs at most two SVDs, one stacked SVD per rebuild:
-extraction takes one SVD of Gamma itself, which gives its norm test, its
-clip, both its defects and, where ``1 - s^2`` is clear of zero, both their
-inverses (``_gamma_steps``, stacked over the gammas solved at once), and one
-SVD for the pseudoinverse of its solve unless the caller carries the
-inverse; a rebuild knows all its gammas up front and takes their defects
-from one stacked SVD.
+An extracted gamma costs one SVD of Gamma itself, which gives its norm
+test, its clip, both its defects and, where ``1 - s^2`` is clear of zero,
+their inverses (``_gamma_steps``, stacked over the gammas solved at once),
+and one for the pseudoinverse of its solve unless a carried inverse stands
+in (``_solve_stack``); a rebuild takes the defects of all its gammas from
+one stacked SVD.
 """
 
 from __future__ import annotations
@@ -280,57 +279,66 @@ class _Overshoot(NoFactor):
         self.indices = indices
 
 
+def _solve_stack(rhs: np.ndarray, a: np.ndarray, inverse, fallback):
+    """``rhs_i A_i^-1`` for a stack, and the residual ``sol_i A_i - rhs_i``
+    of that solve before any refinement, for a caller to check.
+
+    With ``inverse = (inv, known)``, the rows with ``known_i`` solve through
+    the carried inverse ``inv_i``; as it matches the rounded ``A_i`` only to
+    its own rounding, they take one step of refinement against ``A_i`` from
+    that residual.  The other rows, all of them without ``inverse``, solve
+    through ``fallback(rest)``, the pseudoinverses of the rows ``rest`` from
+    one stacked SVD: their cutoffs and floors are worked out only here.
+    """
+    if inverse is None:
+        ainv = fallback(slice(None))
+    else:
+        ainv, known = inverse
+        if not known.all():
+            rest = np.flatnonzero(~known)
+            ainv = ainv.copy(order="K")
+            ainv[rest] = fallback(rest)
+    sol = rhs @ ainv
+    res = sol @ a - rhs
+    if inverse is not None:
+        sol -= (res * known[:, np.newaxis, np.newaxis]) @ ainv
+    return sol, res
+
+
 def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.ndarray,
                  cols: np.ndarray, damp: bool = True, checked: bool = True,
                  inverse: tuple[np.ndarray, np.ndarray] | None = None):
-    """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, and
-    both defects of each, from at most two stacked SVDs.
+    """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, both
+    defects of each and their inverses, and whether it has them.
 
     The i-th problem is the leading ``rows[i] x rows[i]`` corner of
     ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
-    Gamma_i and its defects come back padded with exact zeros.  The
-    arithmetic is that of ``solve_contraction_factor(dacc_i*, blk_i*)*`` and
-    ``defects``, on internal arrays, so without their input checks: one SVD
-    gives the pseudoinverse of ``dacc_i``, whose solve must leave no
+    the results come back padded with exact zeros.  The arithmetic is that
+    of ``solve_contraction_factor(dacc_i*, blk_i*)*`` and ``defects``,
+    without their input checks: the solve (``_solve_stack``, ``inverse =
+    (dinv, known)`` carrying ``dacc_i^-1`` where ``known_i``) must leave no
     residual beyond the slack, and one full SVD of Gamma_i gives the norm
     test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
-    both defects of the clipped Gamma_i.
-    A norm beyond the slack falls back to ``_damped_solve``, as in
-    ``solve_contraction_factor``; without ``damp``, ``_Overshoot`` names
-    all such solves instead.  Without ``checked``, neither the solve's
-    residual nor the damped fallback's is checked.
-
-    With ``inverse = (dinv, known)``, ``dinv_i`` is the inverse of
-    ``dacc_i``'s corner where ``known_i``: those solves take it in place of
-    a pseudoinverse, so the SVD for the pseudoinverses covers the other
-    problems only, and none is made if every one is known.  A carried
-    inverse matches the rounded ``dacc_i`` only to its own rounding, so the
-    solve takes one step of refinement against ``dacc_i``, from the
-    residual the check reads (which is that of the unrefined solve).  The
-    result is then ``(g, pair, inverse_pair, invertible)``, with the
-    inverses of both defects from the same SVD of Gamma_i
-    (``_inverse_defect_pair``).
+    both defects of the clipped Gamma_i and their inverses
+    (``_inverse_defect_pair``).  A norm beyond the slack falls back to
+    ``_damped_solve``; without ``damp``, ``_Overshoot`` names all such
+    solves instead.  Without ``checked``, neither the solve's residual nor
+    the damped fallback's is checked.
     """
     x, y = dagger(dacc), dagger(blk)
     side = x.shape[-1]
-    if inverse is None:
-        xinv, _ = _pinv_stack(x, _rank_rconds(rows, _frobs(x), tol, _solve_atol(rows, tol)))
-    else:
-        xinv = dagger(inverse[0])
-        if not inverse[1].all():
-            rest = np.flatnonzero(~inverse[1])
-            xinv[rest], _ = _pinv_stack(x[rest], _rank_rconds(rows[rest], _frobs(x[rest]), tol,
-                                                              _solve_atol(rows[rest], tol)))
-    gs = y @ xinv
-    if checked or inverse is not None:
-        res = gs @ x - y
+
+    def pinvs(rest):
+        sub = x[rest]
+        return _pinv_stack(sub, _rank_rconds(rows[rest], _frobs(sub), tol,
+                                             _solve_atol(rows[rest], tol)))[0]
+
+    gs, res = _solve_stack(y, x, inverse and (dagger(inverse[0]), inverse[1]), pinvs)
     if checked:
         residual = _frobs(res)
         bad = residual > CLIP_SLACK * np.maximum(1.0, _frobs(y))
         if bad.any():
             raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad][0]:.3e}")
-    if inverse is not None:  # one step of refinement against dacc itself
-        gs -= (res * inverse[1][:, np.newaxis, np.newaxis]) @ xinv
     g = dagger(gs)
     u, s, vh = _full_svd(g)
     norms = s[:, 0]  # a view: follows the damped rows' updates below
@@ -347,17 +355,14 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
         s = np.minimum(s, 1.0)
         k = s.shape[-1]
         g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
-    pairs = [_defect_pair(u, s, vh, tol)]
-    if inverse is not None:
-        inverse_pair, invertible = _inverse_defect_pair(u, s, vh, tol)
-        pairs.append(inverse_pair)
+    pair = _defect_pair(u, s, vh, tol)
+    inverse_pair, invertible = _inverse_defect_pair(u, s, vh, tol)
     if rows.min() < side or cols.min() < g.shape[-1]:
         g = g * _corner_mask(rows, cols, side)
         col_mask, row_mask = _corner_mask(cols, cols, side), _corner_mask(rows, rows, side)
-        pairs = [DefectPair(p.d_t * col_mask, p.d_t_star * row_mask) for p in pairs]
-    if inverse is None:
-        return g, pairs[0]
-    return g, pairs[0], pairs[1], invertible
+        pair, inverse_pair = (DefectPair(p.d_t * col_mask, p.d_t_star * row_mask)
+                              for p in (pair, inverse_pair))
+    return g, pair, inverse_pair, invertible
 
 
 def solve_partial_isometry(x, y, tol: Tolerances = DEFAULT_TOL) -> PartialIsometryFactor:

@@ -54,6 +54,17 @@ class PsdResult:
         return self.ok
 
 
+def _as_size(value, name: str = "size") -> int:
+    """An integral number (``2``, ``2.0``, a numpy int) as an int; booleans,
+    fractions and non-numbers raise ``ValueError``, not truncated by ``int``."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D complex array."""
     m = np.asarray(a, dtype=complex)

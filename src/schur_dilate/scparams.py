@@ -29,17 +29,15 @@ One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, and where
 the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive matrix depends
 only on the principal block ``a[i..j]``, so one stage per lag ``j - i``
 serves every row at once, after one stacked ``eigh`` for the roots and one
-stacked SVD for their pseudoinverses.  An interior lag takes one stacked
-SVD, the gammas': the pivots and the solves go through inverses carried
-from lag to lag as products of those defect inverses (``_psd_pass``).  A
-row whose carried inverse grows past ``_inverse_bound``, as next to a
-near-unit parameter, a rescued row, a cut pass and a singular input take
-pseudoinverses instead, one stacked SVD each for the pivots and the solves
-of those rows.  ``T`` is a contraction iff ``[[I, T], [T*, I]] >= 0``,
-and with the row blocks of ``T`` reversed its grid is the corner of that
-matrix's psd parameters coupling row blocks to column blocks, one
-anti-diagonal per lag; the other couplings are zero by structure, pinned
-and never solved.  A row contraction is a 1 x m grid and
+stacked SVD for their pseudoinverses.  An interior lag of a carried pass
+takes one stacked SVD, the gammas': the pivots and the solves go through
+inverses carried from lag to lag as products of those defect inverses
+(``_psd_pass``), and other rows through pseudoinverses (``_solve_stack``);
+``_first_pass`` decides which pass carries.  ``T`` is a contraction iff
+``[[I, T], [T*, I]] >= 0``, and with the row blocks of ``T`` reversed its
+grid is the corner of that matrix's psd parameters coupling row blocks to
+column blocks, one anti-diagonal per lag; the other couplings are zero by
+structure, pinned and never solved.  A row contraction is a 1 x m grid and
 a column contraction the adjoint of the 1 x n grid of ``T*``, at one SVD
 per interior gamma.  A rebuild knows all its gammas up front and takes
 their defects from one stacked SVD (one per distinct gamma shape).  Every
@@ -74,6 +72,7 @@ from .contraction import (
     _contraction_norm,
     _corner_mask,
     _gamma_steps,
+    _solve_stack,
     DefectPair,
     clip_to_contraction,
     defect,
@@ -91,6 +90,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    _as_size,
     _frobs,
     _pinv_stack,
     _rank_rconds,
@@ -143,8 +143,8 @@ class BlockShape:
     col_dims: tuple[int, ...]
 
     def __post_init__(self):
-        rd = tuple(int(d) for d in self.row_dims)
-        cd = tuple(int(d) for d in self.col_dims)
+        rd = tuple(_as_size(d, "block dimension") for d in self.row_dims)
+        cd = tuple(_as_size(d, "block dimension") for d in self.col_dims)
         if not rd or not cd or min(rd) <= 0 or min(cd) <= 0:
             raise ValueError("block dimensions must be nonempty and positive")
         object.__setattr__(self, "row_dims", rd)
@@ -274,7 +274,7 @@ def _row_extract(t: np.ndarray, dims, tol: Tolerances, tail: bool = False):
             u, s, _ = np.linalg.svd(np.hstack((d_star, t[:, off[k]:])), full_matrices=False)
             pu, _, pvh = np.linalg.svd(dacc)
             dacc = (u * s) @ dagger(u) @ pu @ pvh
-        g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
+        g, pair, _, _ = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
         gammas.append(g[0])
         pairs.append(DefectPair(pair.d_t[0], pair.d_t_star[0]))
         dacc = dacc @ pairs[-1].d_t_star
@@ -351,13 +351,6 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     (``_first_pass``).  A unit singular value of ``T`` makes the embedding
     singular (its least eigenvalue is ``1 - ||T||``), and then, as for a
     singular psd input, every result must rebuild ``T`` within ``recon_tol``.
-
-    On a nonsingular embedding an interior lag costs one stacked SVD, the
-    gammas': the pivots and the solves go through carried inverses, and a
-    row leaves them for pseudoinverses once its carried inverse exceeds
-    ``_inverse_bound``, as next to a near-unit parameter.  A singular one
-    carries none: a carried result that missed the round-trip bound would
-    skip the pseudoinverse pass that might meet it.
     """
     t = as_matrix(t)
     norm = _contraction_norm(t, tol)
@@ -376,8 +369,8 @@ def matrix_parametrize(t, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> M
     cut = zero_level(1.0, tol)
     singular = norm >= 1.0 - cut
 
-    def grid(level):
-        g = _psd_stages(blocks, roots, dims, level, tol, split=n, carry=not singular)
+    def grid(level, carry):
+        g = _psd_stages(blocks, roots, dims, level, tol, carry, split=n)
         return MatrixContractionParams(((g[n - 1 - i, i + j, :d, :c] for j, c in enumerate(cd))
                                         for i, d in enumerate(rd)), shape)
 
@@ -577,18 +570,17 @@ def _recon_bound(a: np.ndarray, tol: Tolerances, psd: bool = False) -> float:
 
 
 def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances,
-                 carry: bool = True) -> PositiveSCParams:
+                 carry: bool) -> PositiveSCParams:
     """Parameters of ``a``, root eigenvalues up to ``cut`` and root and Cholesky
     singular values up to ``sqrt(cut)`` counting as zero.  A cut can drop a
-    real coupling; ``_first_pass`` checks what a cut costs.  ``carry`` is
-    that of ``_psd_stages``."""
+    real coupling; ``_first_pass`` checks what a cut costs and sets ``carry``."""
     dims = shape.row_dims
     n = len(dims)
     side = max(dims)
     blocks = _padded_blocks(a, dims, side)
     diag = np.arange(n)
     roots = _padded_roots(blocks[diag, diag], dims, side, tol, cut)
-    gammas = _psd_stages(blocks, roots, dims, cut, tol, carry=carry)
+    gammas = _psd_stages(blocks, roots, dims, cut, tol, carry)
     return PositiveSCParams(
         tuple(roots[i, :d, :d] for i, d in enumerate(dims)),
         # views, each frozen (copied) in turn, so they are never all alive at once
@@ -598,15 +590,24 @@ def _psd_extract(a, shape: BlockShape, cut: float, tol: Tolerances,
 
 
 def _first_pass(a, levels, singular: bool, extract, rebuild, bound: float):
-    """``extract(level)`` of the first of two ``levels`` whose result is kept:
-    it must rebuild ``a`` within ``bound`` if its level cuts, which can drop
-    a real coupling, or if ``a`` is ``singular``; an uncut pass on a
-    nonsingular input is trusted, since its solves are checked."""
-    for second, level in enumerate(levels):
+    """The first kept result of the passes ``extract(level, carry)``.
+
+    A nonsingular input runs the uncut pass with carried inverses, then, if
+    that raises ``NoFactor``, without them (next to a near-unit parameter a
+    solve can turn on the last bits of a defect), then the cut pass.  A
+    singular input runs ``levels`` in order, neither carrying: a carried
+    result that missed the round-trip bound would skip the pseudoinverse
+    pass that might meet it.  A result must rebuild ``a`` within ``bound``
+    if its level cuts, which can drop a real coupling, or if ``a`` is
+    ``singular``; an uncut pass on a nonsingular input has checked solves."""
+    passes = [(level, False) for level in levels]
+    if not singular:  # levels[0] is the uncut level
+        passes.insert(0, (levels[0], True))
+    for i, (level, carry) in enumerate(passes, 1):
         try:
-            params = extract(level)
+            params = extract(level, carry)
         except NoFactor:
-            if second:
+            if i == len(passes):
                 raise
             continue
         if not (level or singular) or frob(rebuild(params) - a) <= bound:
@@ -614,8 +615,8 @@ def _first_pass(a, levels, singular: bool, extract, rebuild, bound: float):
     raise NoFactor("round-trip error above recon_tol" + (" after the rank cut" if level else ""))
 
 
-def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | None = None,
-                carry: bool = True):
+def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, carry: bool,
+                split: int | None = None):
     """Gammas of the padded block grid ``blocks``, ``[k, m]`` coupling block k
     to block k + 1 + m.
 
@@ -657,24 +658,13 @@ def _psd_stages(blocks, roots, dims, cut: float, tol: Tolerances, split: int | N
     damped factors: along a direction the cut drops the data need not be
     consistent, and its round-trip check bounds what both cost.
 
-    With ``carry``, an uncut pass solves steps 1 and 2 through carried
-    inverses instead of pseudoinverses where they are well conditioned
-    (``_psd_pass``), so such a lag takes one stacked SVD, the gammas'.  Next
-    to a near-unit parameter the outcome of a solve can turn on the last
-    bits of a defect, so a carried pass that raises ``NoFactor`` is run
-    again without carried inverses, in the arithmetic of the cut pass: the
-    carried path never loses an input that pseudoinverses extract.
+    With ``carry``, steps 1 and 2 go through carried inverses where they
+    are well conditioned (``_psd_pass``), so such a lag takes one stacked
+    SVD, the gammas'.
     """
-    carry = carry and not cut
     pinned: dict[int, tuple] = {}
     while True:
-        try:
-            gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned, split, carry)
-        except NoFactor:
-            if not carry:
-                raise
-            carry, pinned = False, {}
-            continue
+        gammas, clipped = _psd_pass(blocks, roots, dims, cut, tol, pinned, split, carry)
         if not clipped:
             return gammas
         pinned.update(clipped)
@@ -723,6 +713,16 @@ def _inverse_bound(tol: Tolerances, size: int) -> float:
     return 1.0 / max(np.sqrt(np.finfo(float).eps / level), level, rcond)
 
 
+def _extend_chain(product: np.ndarray, ok: np.ndarray, bound: float, scale=1.0):
+    """Carried inverses extended by one factor, ``product``, zeroed where
+    ``ok`` is false (a chain once broken stays at zero), and whether each
+    stays in use: its Frobenius norm times the ``scale`` of what it
+    inverts within ``bound`` (``_inverse_bound``)."""
+    if not ok.all():
+        product *= ok[:, np.newaxis, np.newaxis]
+    return product, ok & (_frobs(product) * scale < bound)
+
+
 def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
               split: int | None, carry: bool):
     """One pass of ``_psd_stages``: the gammas, or None and the rows to pin.
@@ -740,13 +740,8 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
     whose pseudoinverses are taken up front, and a carried pivot inverse
     starts only from a root of full rank.  The inverses of both defects
     come from each gamma's SVD (``_gamma_steps``), so a lag on this path
-    takes that SVD alone; each solve through a carried inverse takes one
-    step of refinement against the matrix it inverts.  A carried inverse
-    stays in use while every defect in it has an inverse and its Frobenius
-    norm, relative to the scale of what it inverts, stays within
-    ``_inverse_bound``.  Past that, and for pinned rows, the row's solves
-    (or its pivots, one column at a time) are pseudoinverse solves as in a
-    cut pass, stacked over just those rows of the lag.
+    takes that SVD alone.  Both chains grow by ``_extend_chain``; rows off
+    them and pinned rows solve through pseudoinverses (``_solve_stack``).
     """
     n = len(dims)
     side = roots.shape[-1]
@@ -786,8 +781,9 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
             span = cols[lo - c0:real - c0]
             known = (r[lo:real, :lag - 1] @ span[:, :lag - 1]).sum(axis=1)
             pivot = span[:, -1]
+            rhs = rj[:p] - known
             if lag == 1:
-                pivot_pinv = root_pinv[lo + 1:real + 1]
+                rj[:p] = rhs @ root_pinv[lo + 1:real + 1]
             else:
                 first, last = np.arange(lo + 1, real + 1), np.arange(lo + lag + 1, real + lag + 1)
                 scale = np.sqrt(sq_norms[last] - sq_norms[first])
@@ -795,24 +791,18 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
                     if split is not None and real == split - 1:
                         pivot_inv[real] = roots[real + lag - 1]  # row split - 1's last pivot
                     below = slice(lo + 1, real + 1)
-                    pivot_inv[lo:real] = pivot_inv[below] @ d_t_inv[below]
-                    ok = pivot_ok[below] & inv_ok[below]
-                    if not ok.all():  # a chain once broken stays at zero
-                        pivot_inv[lo:real] *= ok[:, np.newaxis, np.newaxis]
-                    pivot_ok[lo:real] = ok & (_frobs(pivot_inv[lo:real]) * scale < bound)
-                pivot_pinv = pivot_inv[lo:real]
-                if not pivot_ok[lo:real].all():
-                    bad = np.flatnonzero(~pivot_ok[lo:real])
-                    first, last, scale, sub = first[bad], last[bad], scale[bad], pivot[bad]
-                    floor = _rank_rconds(off[last] - off[first], scale, tol, atol) * scale
-                    pivot_pinv = pivot_pinv.copy()
-                    pivot_pinv[bad], _ = _pinv_stack(
-                        sub, _rank_rconds(sizes[first + lag - 1], _frobs(sub), tol, atol), floor)
-            rhs = rj[:p] - known
-            rj[:p] = rhs @ pivot_pinv
-            if carry and lag > 1:  # one step of refinement through each carried pivot inverse
-                res = (rj[:p] @ pivot - rhs) * pivot_ok[lo:real, np.newaxis, np.newaxis]
-                rj[:p] -= res @ pivot_pinv
+                    pivot_inv[lo:real], pivot_ok[lo:real] = _extend_chain(
+                        pivot_inv[below] @ d_t_inv[below], pivot_ok[below] & inv_ok[below],
+                        bound, scale)
+
+                def pinvs(rest):  # floored at the trailing factor's scale
+                    f, sc, sub = first[rest], scale[rest], pivot[rest]
+                    floor = _rank_rconds(off[last[rest]] - off[f], sc, tol, atol) * sc
+                    rcond = _rank_rconds(sizes[f + lag - 1], _frobs(sub), tol, atol)
+                    return _pinv_stack(sub, rcond, floor)[0]
+
+                inverse = (pivot_inv[lo:real], pivot_ok[lo:real]) if carry else None
+                rj[:p] = _solve_stack(rhs, pivot, inverse, pinvs)[0]
         if min(dims) < side:
             rj *= _corner_mask(sizes[lo:hi], sizes[lo + lag:hi + lag], side)
         r[lo:real, lag - 1] = rj[:p]  # only rows with a pivot read r
@@ -827,9 +817,9 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
         free = at - lo if fixed else slice(None)  # their places in rj
         if len(fixed) < hi - lo:
             problem = m_acc[at], rj[free], tol, sizes[at], sizes[lag:][at]
-            carried = {"inverse": (m_inv[at], solve_ok[at])} if carry else {}
+            inverse = (m_inv[at], solve_ok[at]) if carry else None
             try:
-                out = _gamma_steps(*problem, damp=False, checked=not cut, **carried)
+                out = _gamma_steps(*problem, damp=False, checked=not cut, inverse=inverse)
             except _Overshoot as exc:
                 rescued = {}
                 for k in diag[at][exc.indices]:
@@ -840,17 +830,13 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
                         pass
                 if rescued:
                     return None, rescued
-                out = _gamma_steps(*problem, checked=not cut, **carried)
-            gj, pair = out[:2]
+                out = _gamma_steps(*problem, checked=not cut, inverse=inverse)
+            gj, pair, inverse_pair, invertible = out
             g[at, lag - 1], d_t[at, lag - 1], d_t_star[at, lag - 1] = gj, pair.d_t, pair.d_t_star
             if carry:
-                inverse, invertible = out[2:]
-                d_t_inv[at], inv_ok[at] = inverse.d_t, invertible
-                ok = solve_ok[at] & invertible
-                m_inv[at] = inverse.d_t_star @ m_inv[at]
-                if not ok.all():
-                    m_inv[at] *= ok[:, np.newaxis, np.newaxis]
-                solve_ok[at] = ok & (_frobs(m_inv[at]) < bound)
+                d_t_inv[at], inv_ok[at] = inverse_pair.d_t, invertible
+                m_inv[at], solve_ok[at] = _extend_chain(inverse_pair.d_t_star @ m_inv[at],
+                                                        solve_ok[at] & invertible, bound)
         if lag == n - 1:
             break
         step = slice(lo, min(hi, rows - 1))
@@ -877,18 +863,13 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     ``Gamma_ij`` depends only on the principal block ``a[i..j]``, so each
     stage extracts the gammas of one lag for every row at once, solving
     against the columns of the previous stage's Cholesky factors
-    (``_psd_stages``).  Besides one stacked root per block size and one
-    stacked SVD for the roots' pseudoinverses, an interior lag costs one
-    stacked SVD, the gammas': the uncut pass of a nonsingular input solves
-    through carried inverses.  Rows whose carried inverses exceed their bound
-    (next to a near-unit parameter), rescued rows and the cut pass take
-    pseudoinverses, one stacked SVD each for the pivots and the solves of
-    those rows in a lag; a singular input carries no inverses, since its
-    uncut result must round-trip.  The uncut pass is exact
-    on full-rank inputs; on rank-deficient ones rounding-level singular
-    values can cost it sqrt(eps) or push a solve past norm 1.  The pass cut
-    at ``zero_level(max|a|)`` goes first when the least eigenvalue of ``a``
-    is that low; the other runs only if the first fails (``_first_pass``).
+    (``_psd_stages``): one stacked root per block size, one stacked SVD for
+    the roots' pseudoinverses and, on the carried path, one stacked SVD per
+    interior lag, the gammas'.  The uncut pass is exact on full-rank
+    inputs; on rank-deficient ones rounding-level singular values can cost
+    it sqrt(eps) or push a solve past norm 1, so the pass cut at
+    ``zero_level(max|a|)`` goes first when the least eigenvalue of ``a`` is
+    that low (``_first_pass`` orders the passes).
     """
     a = as_matrix(a)
     if shape.row_dims != shape.col_dims:
@@ -900,7 +881,7 @@ def psd_parametrize(a, shape: BlockShape, tol: Tolerances = DEFAULT_TOL) -> Posi
     cut = zero_level(np.abs(a).max(initial=0.0), tol)
     singular = check.min_eigenvalue <= cut
     return _first_pass(a, (cut, 0.0) if singular else (0.0, cut), singular,
-                       lambda level: _psd_extract(a, shape, level, tol, not singular),
+                       lambda level, carry: _psd_extract(a, shape, level, tol, carry),
                        lambda params: psd_reconstruct(params, tol), _recon_bound(a, tol, psd=True))
 
 

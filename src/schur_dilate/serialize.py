@@ -41,7 +41,7 @@ import re
 import numpy as np
 
 from .dilation import DilationResult, KrausChannel, Povm
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, _as_size
 from .scparams import (
     BlockShape,
     MatrixContractionParams,
@@ -128,7 +128,7 @@ def matrix_to_obj(a: np.ndarray) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _as_size(obj["rows"], "rows"), _as_size(obj["cols"], "cols")
     data = obj["data"]
     if len(data) != rows * cols:
         raise ValueError(f"data length {len(data)} != rows*cols {rows * cols}")
@@ -176,8 +176,9 @@ def povm_to_obj(povm: Povm) -> dict:
 
 def povm_from_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> Povm:
     if "vectors" in obj:
+        dim = _as_size(obj["dim"], "dim")
         vs = [vector_from_obj(v) for v in obj["vectors"]]
-        if any(v.shape != (int(obj["dim"]),) for v in vs):
+        if any(v.shape != (dim,) for v in vs):
             raise ValueError("vector length differs from dim")
         return Povm.from_vectors(vs)
     return Povm.from_effects([matrix_from_obj(e) for e in obj["effects"]], tol)
@@ -189,8 +190,8 @@ def channel_to_obj(ch: KrausChannel) -> dict:
 
 def channel_from_obj(obj: dict) -> KrausChannel:
     return KrausChannel(
-        in_dim=int(obj["in_dim"]),
-        out_dim=int(obj["out_dim"]),
+        in_dim=_as_size(obj["in_dim"], "in_dim"),
+        out_dim=_as_size(obj["out_dim"], "out_dim"),
         kraus=tuple(matrix_from_obj(e) for e in obj["kraus"]),
     )
 
@@ -204,15 +205,16 @@ def dilation_from_obj(obj: dict) -> DilationResult:
     if "freedom" in obj:
         freedom = (matrix_from_obj(obj["freedom"][0]),
                    matrix_from_obj(obj["freedom"][1]))
+    counts = {k: _as_size(obj[k], k) for k in ("out_dim", "kraus_count") if obj.get(k) is not None}
     return DilationResult(
         kind=obj["kind"],
         unitary=matrix_from_obj(obj["unitary"]),
-        system_span=tuple(obj["system_span"]),
-        ancilla_dim=int(obj["ancilla_dim"]),
+        system_span=tuple(_as_size(i, "system_span") for i in obj["system_span"]),
+        ancilla_dim=_as_size(obj["ancilla_dim"], "ancilla_dim"),
         freedom=freedom,
-        out_dim=obj.get("out_dim"),
-        kraus_count=obj.get("kraus_count"),
-        absorbing_blocks=tuple(obj.get("absorbing_blocks", ())),
+        absorbing_blocks=tuple(_as_size(b, "absorbing_blocks") for b in
+                               obj.get("absorbing_blocks", ())),
+        **counts,
     )
 
 

@@ -137,6 +137,15 @@ def test_param_non_numeric_entries_exit_1(tmp_path, capsys, entry):
     assert err.startswith("error: ")
 
 
+def test_param_fractional_size_exits_1(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"rows": 1.5, "cols": 1, "data": [[1.0, 0.0]]}))
+    code, _, err = run_cli(capsys, "param", "--kind", "psd", "--shape", "1",
+                           "--in", str(src), "--out", str(tmp_path / "p.json"))
+    assert code == 1
+    assert err.startswith("error: rows must be an integer")
+
+
 def test_dilate_basis_povm(tmp_path, capsys):
     povm_file = tmp_path / "povm.json"
     out = tmp_path / "u.json"

@@ -239,7 +239,7 @@ def same_bits(a, b):
 def one_step(dacc, blk, tol=Tolerances()):
     """Gamma with ``dacc Gamma = blk`` and its defects: ``_gamma_steps`` on a
     stack of one."""
-    g, pair = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
+    g, pair, _, _ = _gamma_steps(dacc[np.newaxis], blk[np.newaxis], tol, *np.vstack(blk.shape))
     return g[0], DefectPair(pair.d_t[0], pair.d_t_star[0])
 
 
@@ -316,7 +316,7 @@ def test_gamma_steps_equal_the_2d_step_bitwise(seed, count, h, d):
         with pytest.raises(NoFactor):
             _gamma_steps(dacc, blk, Tolerances(), *sizes)
         return
-    g, pair = _gamma_steps(dacc, blk, Tolerances(), *sizes)
+    g, pair, _, _ = _gamma_steps(dacc, blk, Tolerances(), *sizes)
     for i, (gi, pi) in enumerate(singles):
         assert same_bits(g[i], gi)
         assert same_bits(pair.d_t[i], pi.d_t)
@@ -336,7 +336,7 @@ def test_gamma_steps_without_damping_name_every_overshoot():
     with pytest.raises(_Overshoot) as info:
         _gamma_steps(dacc, blk, Tolerances(), *sizes, damp=False)
     assert info.value.indices.tolist() == beyond
-    g, _ = _gamma_steps(dacc, blk, Tolerances(), *sizes)
+    g = _gamma_steps(dacc, blk, Tolerances(), *sizes)[0]
     for i in beyond:
         assert same_bits(g[i], one_step(*problems[i])[0])
         assert opnorm(g[i]) <= 1.0
@@ -353,7 +353,7 @@ def test_gamma_steps_on_padded_stacks():
     for i, (x, y) in enumerate(problems):
         dacc[i, :x.shape[0], :x.shape[0]], blk[i, :y.shape[0], :y.shape[1]] = x, y
     rows, cols = (np.array(v) for v in zip(*shapes))
-    g, pair = _gamma_steps(dacc, blk, Tolerances(), rows, cols)
+    g, pair, _, _ = _gamma_steps(dacc, blk, Tolerances(), rows, cols)
     for i, ((h, d), (x, y)) in enumerate(zip(shapes, problems)):
         gi, pi = one_step(x, y)
         for got, want, (p, q) in ((g[i], gi, (h, d)), (pair.d_t[i], pi.d_t, (d, d)),

@@ -484,6 +484,69 @@ def test_psd_uncut_pass_on_a_singular_input_must_round_trip(monkeypatch, a, dims
             psd_parametrize(a, shape)
 
 
+def pass_input(kind, singular):
+    """Extraction, input and shape: a Gram matrix of 2+3+2+3 blocks (rank 4
+    if ``singular``) or a 5 x 5 contraction on a 2+1+2 grid (of norm one if
+    ``singular``, else 0.9)."""
+    rng = rng_from_seed(71)
+    if kind == "psd":
+        dims = (2, 3, 2, 3)
+        g = complex_gaussian(rng, 4 if singular else 20, sum(dims))
+        return psd_parametrize, dagger(g) @ g, BlockShape(dims, dims)
+    u, s, vh = np.linalg.svd(complex_gaussian(rng, 5, 5))
+    s = 0.9 * s / s[0]
+    s[0] = 1.0 if singular else s[0]
+    return matrix_parametrize, (u * s) @ vh, BlockShape((2, 1, 2), (2, 1, 2))
+
+
+@pytest.fixture
+def carried_pass_fails(monkeypatch):
+    """``(cut, carry)`` of every ``_psd_pass`` call, of which those carrying
+    inverses raise ``NoFactor``."""
+    calls, run = [], scparams._psd_pass
+
+    def failing(*args):
+        calls.append((args[3], args[-1]))
+        if args[-1]:
+            raise NoFactor("the carried pass fails")
+        return run(*args)
+
+    monkeypatch.setattr(scparams, "_psd_pass", failing)
+    return calls
+
+
+def param_bytes(params):
+    roots = getattr(params, "diag_roots", ())
+    return [g.tobytes() for row in params.gammas for g in row] + [r.tobytes() for r in roots]
+
+
+@pytest.mark.parametrize("kind", ["psd", "matrix"])
+def test_a_carried_pass_that_raises_is_run_again_without_carrying(monkeypatch,
+                                                                  carried_pass_fails, kind):
+    # a nonsingular input runs the uncut pass without carried inverses
+    # after the carried one raises, before any cut pass; it gives what the
+    # plain uncut pass gives, byte for byte
+    extract, a, shape = pass_input(kind, singular=False)
+    got = extract(a, shape)
+    assert carried_pass_fails == [(0.0, True), (0.0, False)]
+    failing = scparams._psd_pass
+    monkeypatch.setattr(scparams, "_psd_pass", lambda *args: failing(*args[:-1], False))
+    want = extract(a, shape)  # no pass carries: the uncut one goes first and is kept
+    assert carried_pass_fails[2:] == [(0.0, False)]
+    assert param_bytes(got) == param_bytes(want)
+
+
+@pytest.mark.parametrize("kind, first", [("psd", "cut"), ("matrix", "uncut")])
+def test_a_singular_input_carries_no_inverses(carried_pass_fails, kind, first):
+    # a rank-deficient psd matrix takes the cut pass first, a norm-one grid
+    # the uncut one; neither pass carries, so none raises here
+    extract, a, shape = pass_input(kind, singular=True)
+    extract(a, shape)
+    assert carried_pass_fails
+    assert not any(carry for _, carry in carried_pass_fails)
+    assert (carried_pass_fails[0][0] > 0) == (first == "cut")
+
+
 def test_psd_roundtrip_random():
     rng = rng_from_seed(61)
     for _ in range(30):

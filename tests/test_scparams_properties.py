@@ -486,13 +486,14 @@ def test_psd_cut_pass_leaves_solve_residuals_to_its_round_trip_check(seed, lo):
     # beyond the clip slack, in both passes; in the cut pass it lies along
     # directions the cut drops.  The cut pass checks no solve residual, and
     # its round-trip check passes at an error of 2.1e-9 or less against a
-    # bound of 8.7e-7 or more.
+    # bound of 8.7e-7 or more.  Neither pass carries inverses, as in
+    # psd_parametrize on a singular input.
     a, shape = boundary_psd(seed, lo)
     cut, uncut = passes(a)
     assert cut > 0 == uncut
     with pytest.raises(NoFactor, match="solve residual"):
-        scparams._psd_extract(a, shape, uncut, DEFAULT_TOL)
-    params = scparams._psd_extract(a, shape, cut, DEFAULT_TOL)
+        scparams._psd_extract(a, shape, uncut, DEFAULT_TOL, carry=False)
+    params = scparams._psd_extract(a, shape, cut, DEFAULT_TOL, carry=False)
     assert frob(psd_reconstruct(params) - a) <= scparams._recon_bound(a, DEFAULT_TOL, psd=True)
 
 
@@ -551,14 +552,18 @@ def gram_psd(draw):
 @examples
 @given(gram_psd())
 def test_staged_extraction_matches_the_bottom_up_loop(case):
-    # on the first pass the bottom-up loop gets through, in psd_parametrize's order
+    # on the first pass the bottom-up loop gets through, in psd_parametrize's
+    # order, carrying inverses where it does: on the uncut pass of a
+    # nonsingular input, which goes first
     a, dims = case
-    for cut in passes(a):
+    order = passes(a)
+    for cut in order:
         try:
             roots, gammas = bottom_up_extract(a, dims, cut)
         except NoFactor:
             continue
-        params = scparams._psd_extract(a, BlockShape(dims, dims), cut, DEFAULT_TOL)
+        params = scparams._psd_extract(a, BlockShape(dims, dims), cut, DEFAULT_TOL,
+                                       carry=cut == 0.0 == order[0])
         assert all(r.tobytes() == ref.tobytes() for r, ref in zip(params.diag_roots, roots))
         bound = 1e-10 * max(1.0, frob(a))
         for row, ref in zip(params.gammas, gammas):
@@ -591,12 +596,12 @@ def gamma_of(rng, p, q, value):
     return (random_unitary(rng, p)[:, :len(s)] * s) @ dagger(random_unitary(rng, q)[:, :len(s)])
 
 
-def psd_near_unit_coupling(seed):
+def psd_near_unit_coupling(seed, at=(0, 2)):
     """Blocks 2+3+4+3+4 with identity roots and gammas of singular values
-    1/2, except gamma(0, 2), whose singular values are ``NEAR_UNIT``."""
+    1/2, except gamma ``at``, whose singular values are ``NEAR_UNIT``."""
     rng = rng_from_seed(seed)
     dims = (2, 3, 4, 3, 4)
-    gammas = [[gamma_of(rng, p, q, NEAR_UNIT if (i, j) == (0, 2) else 0.5)
+    gammas = [[gamma_of(rng, p, q, NEAR_UNIT if (i, j) == at else 0.5)
                for j, q in enumerate(dims) if j > i] for i, p in enumerate(dims)]
     shape = BlockShape(dims, dims)
     return psd_reconstruct(PositiveSCParams([np.eye(d) for d in dims], gammas, shape)), shape
@@ -632,23 +637,35 @@ def pinv_stacks(monkeypatch):
 NEAR_UNIT_TOL = 100 * np.finfo(float).eps / (1 - NEAR_UNIT)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_psd_row_leaves_the_inverse_path_after_a_near_unit_coupling(pinv_stacks, seed):
-    # The defects of gamma(0, 2) have a singular value 4.5e-5, so the
-    # carried inverse of row 0's product of defects exceeds _inverse_bound
-    # after lag 2.  In the one uncut pass row 0 solves lags 3 and 4 through
-    # pseudoinverses, one SVD of a stack of one each; every pivot after the
-    # roots and every other solve goes through carried inverses.
-    a, shape = psd_near_unit_coupling(seed)
+NEAR_UNIT_CASES = [((0, 2), {"pivots": [5], "solves": [1, 1]}, {(0, 3), (0, 4)}),
+                   ((2, 4), {"pivots": [5, 1, 1], "solves": []}, {(0, 4), (1, 4)})]
+
+
+@pytest.mark.parametrize("seed, at, stacks, near",
+                         [(seed, *case) for case in NEAR_UNIT_CASES for seed in range(3)],
+                         ids=["0", "1", "2", "low-0", "low-1", "low-2"])
+def test_psd_row_leaves_the_inverse_path_after_a_near_unit_coupling(pinv_stacks, seed, at,
+                                                                   stacks, near):
+    # The defects of the near-unit gamma have a singular value 4.5e-5.
+    # Gamma(0, 2): the carried inverse of row 0's product of defects exceeds
+    # _inverse_bound after lag 2, so in the one uncut pass row 0 solves lags
+    # 3 and 4 through pseudoinverses, one SVD of a stack of one each.
+    # Gamma(2, 4), at the end of row 2 ("low"): the pivots of block 4 for
+    # rows 1 and 0 (lags 3 and 4) carry the inverse of its defect, so they
+    # leave the carried path for pseudoinverses with floors, one SVD of a
+    # stack of one each; the round trip is then within 7.2e-15.  Every other
+    # pivot after the roots and every other solve goes through carried
+    # inverses.  The gammas right of or above the near-unit one are known
+    # only to NEAR_UNIT_TOL (they are within 7e-7 here), the others to 1e-13.
+    a, shape = psd_near_unit_coupling(seed, at)
     assert passes(a)[0] == 0.0  # nonsingular: the uncut pass goes first
     params = psd_parametrize(a, shape)
-    assert pinv_stacks == {"pivots": [5], "solves": [1, 1]}
+    assert pinv_stacks == stacks
     assert frob(psd_reconstruct(params) - a) <= scparams._recon_bound(a, DEFAULT_TOL, psd=True)
     _, ref = bottom_up_extract(a, shape.row_dims, 0.0)
-    bound = 1e-10 * max(1.0, frob(a))
     for k, (row, ref_row) in enumerate(zip(params.gammas, ref)):
-        for m, (g, r) in enumerate(zip(row, ref_row)):
-            assert_close(g, r, NEAR_UNIT_TOL if k == 0 and m > 1 else bound)
+        for j, (g, r) in enumerate(zip(row, ref_row), k + 1):
+            assert_close(g, r, NEAR_UNIT_TOL if (k, j) in near else 1e-13)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -149,6 +149,46 @@ def test_channel_and_dilation_roundtrip():
     assert again.ancilla_dim == result.ancilla_dim
 
 
+def dilation_obj(**changes):
+    e0 = np.array([[1.0, 0.0], [0.0, 0.8]])
+    e1 = np.array([[0.0, 0.6], [0.0, 0.0]])
+    obj = serialize.dilation_to_obj(channel_dilate(KrausChannel(2, 2, (e0, e1))))
+    return {**obj, **changes}
+
+
+ONE = {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]}
+
+
+@pytest.mark.parametrize("load, obj", [
+    (serialize.matrix_from_obj, {"rows": 2.9, "cols": True, "data": [[1.0, 0.0]] * 2}),
+    (serialize.params_from_obj, {"kind": "row", "gammas": [ONE, ONE],
+                                 "shape": {"row_dims": [True], "col_dims": [1.5, 1]}}),
+    (serialize.povm_from_obj, {"dim": 2.5, "vectors": [[[1.0, 0.0], [0.0, 0.0]],
+                                                       [[0.0, 0.0], [1.0, 0.0]]]}),
+    (serialize.channel_from_obj, {"in_dim": 1.9, "out_dim": True, "kraus": [ONE]}),
+    (serialize.dilation_from_obj, dilation_obj(ancilla_dim=2.5)),
+    (serialize.dilation_from_obj, dilation_obj(out_dim=True)),
+    (serialize.dilation_from_obj, dilation_obj(system_span=[0, 1.5])),
+    (serialize.dilation_from_obj, dilation_obj(absorbing_blocks=[True])),
+])
+def test_fractional_and_boolean_sizes_are_rejected(load, obj):
+    # int() would truncate them: 2.9 rows to 2, true to 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        load(json.loads(json.dumps(obj)))
+
+
+def test_integral_sizes_load_as_ints():
+    m = serialize.matrix_from_obj({"rows": 1.0, "cols": np.int64(2), "data": [[1.0, 0.0]] * 2})
+    assert m.shape == (1, 2)
+    obj = {"kind": "row", "gammas": [ONE, ONE],
+           "shape": {"row_dims": [1.0], "col_dims": [np.int32(1), 1]}}
+    shape = serialize.params_from_obj(obj).shape
+    assert shape == BlockShape((1,), (1, 1))
+    assert all(type(d) is int for d in shape.row_dims + shape.col_dims)
+    result = serialize.dilation_from_obj(dilation_obj(system_span=[0.0, 2.0]))
+    assert result.system_span == (0, 2) and type(result.system_span[1]) is int
+
+
 def test_pairs_are_the_entrywise_floats():
     a = np.array([[0.0, -0.0 + 1e-300j], [complex(1, -0.0), -2.5 - 0.0j]])
     # the entrywise definition the stacked encoding replaces
