@@ -14,11 +14,11 @@ the pseudoinverse extends the factor by zero off the closed range, which is
 also the normalization making Gamma unique.
 
 An extracted gamma costs one SVD of Gamma itself, which gives its norm
-test, its clip, both its defects and, where ``1 - s^2`` is clear of zero,
-their inverses (``_gamma_steps``, stacked over the gammas solved at once),
-and one for the pseudoinverse of its solve unless a carried inverse stands
-in (``_solve_stack``); a rebuild takes the defects of all its gammas from
-one stacked SVD.
+test, its clip, both its defects and, for a carried solve, where ``1 -
+s^2`` is clear of zero, their inverses (``_gamma_steps``, stacked over the
+gammas solved at once), and one for the pseudoinverse of its solve unless
+a carried inverse stands in (``_solve_stack``); a rebuild takes the
+defects of all its gammas from one stacked SVD.
 """
 
 from __future__ import annotations
@@ -106,23 +106,23 @@ def _spectral_pair(u: np.ndarray, vh: np.ndarray, root: np.ndarray):
     return d_t, d_t_star
 
 
-def _defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: Tolerances) -> DefectPair:
-    """Both defects from the full SVD ``T = U S V*`` of a matrix or a stack."""
-    w = (1.0 - s) * (1.0 + s)
-    d_t, d_t_star = _spectral_pair(u, vh, np.sqrt(np.where(w <= zero_level(1.0, tol), 0.0, w)))
-    return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star))
-
-
-def _inverse_defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray,
-                         tol: Tolerances) -> tuple[DefectPair, np.ndarray]:
-    """``D_T^-1`` and ``D_T*^-1`` of each matrix of a stack from the same
-    full SVD as ``_defect_pair``, and whether each has them: no ``1 - s^2``
-    at or below ``zero_level(1)``, which ``_defect_pair`` zeroes.  Where
-    not, its inverses are meaningless (their roots are set to 1)."""
+def _defect_pair(u: np.ndarray, s: np.ndarray, vh: np.ndarray, tol: Tolerances,
+                 inverse: bool = False):
+    """Both defects from the full SVD ``T = U S V*`` of a matrix or a stack,
+    and with ``inverse`` also ``D_T^-1`` and ``D_T*^-1`` of each matrix of
+    the stack and whether it has them (else None and None): no ``1 - s^2``
+    at or below ``zero_level(1)``, which the defects zero.  Where not, its
+    inverses are meaningless (their roots are set to 1).  The inverses
+    take the same products as the defects, stacked with them."""
     w = (1.0 - s) * (1.0 + s)
     clear = w > zero_level(1.0, tol)
-    return (DefectPair(*_spectral_pair(u, vh, 1.0 / np.sqrt(np.where(clear, w, 1.0)))),
-            clear.all(axis=-1))
+    root = np.sqrt(np.where(clear, w, 0.0))
+    if not inverse:
+        d_t, d_t_star = _spectral_pair(u, vh, root)
+        return DefectPair(hermitian_part(d_t), hermitian_part(d_t_star)), None, None
+    d_t, d_t_star = _spectral_pair(u, vh, np.stack((root, 1.0 / np.sqrt(np.where(clear, w, 1.0)))))
+    return (DefectPair(hermitian_part(d_t[0]), hermitian_part(d_t_star[0])),
+            DefectPair(d_t[1], d_t_star[1]), clear.all(axis=-1))
 
 
 def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
@@ -143,7 +143,7 @@ def defects(t, tol: Tolerances = DEFAULT_TOL) -> DefectPair:
     norm = s.max(initial=0.0)
     if norm > 1.0 + tol.psd_tol:
         raise NotContraction(f"operator norm {norm:.12f} exceeds 1")
-    return _defect_pair(u, s, vh, tol)
+    return _defect_pair(u, s, vh, tol)[0]
 
 
 def defect(t, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -309,7 +309,8 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
                  cols: np.ndarray, damp: bool = True, checked: bool = True,
                  inverse: tuple[np.ndarray, np.ndarray] | None = None):
     """Gamma_i with ``dacc_i Gamma_i = blk_i`` for a stack of problems, both
-    defects of each and their inverses, and whether it has them.
+    defects of each and, with ``inverse``, their inverses and whether it has
+    them (else None and None).
 
     The i-th problem is the leading ``rows[i] x rows[i]`` corner of
     ``dacc_i`` and ``rows[i] x cols[i]`` corner of ``blk_i``, zero-padded;
@@ -319,11 +320,12 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
     (dinv, known)`` carrying ``dacc_i^-1`` where ``known_i``) must leave no
     residual beyond the slack, and one full SVD of Gamma_i gives the norm
     test, the clip of singular values in ``(1, 1 + CLIP_SLACK]`` to 1, and
-    both defects of the clipped Gamma_i and their inverses
-    (``_inverse_defect_pair``).  A norm beyond the slack falls back to
-    ``_damped_solve``; without ``damp``, ``_Overshoot`` names all such
-    solves instead.  Without ``checked``, neither the solve's residual nor
-    the damped fallback's is checked.
+    both defects of the clipped Gamma_i and, for a carried solve, their
+    inverses (``_defect_pair``), which only a carried solve's caller
+    reads.  A norm beyond the slack falls back to ``_damped_solve``;
+    without ``damp``, ``_Overshoot`` names all such solves instead.
+    Without ``checked``, neither the solve's residual nor the damped
+    fallback's is checked.
     """
     x, y = dagger(dacc), dagger(blk)
     side = x.shape[-1]
@@ -336,31 +338,33 @@ def _gamma_steps(dacc: np.ndarray, blk: np.ndarray, tol: Tolerances, rows: np.nd
     gs, res = _solve_stack(y, x, inverse and (dagger(inverse[0]), inverse[1]), pinvs)
     if checked:
         residual = _frobs(res)
-        bad = residual > CLIP_SLACK * np.maximum(1.0, _frobs(y))
-        if bad.any():
-            raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad][0]:.3e}")
+        if residual.max() > CLIP_SLACK:  # the bounds below are at least CLIP_SLACK
+            bad = residual > CLIP_SLACK * np.maximum(1.0, _frobs(y))
+            if bad.any():
+                raise NoFactor(f"Y*Y <= X*X fails: solve residual {residual[bad][0]:.3e}")
     g = dagger(gs)
     u, s, vh = _full_svd(g)
     norms = s[:, 0]  # a view: follows the damped rows' updates below
-    beyond = np.flatnonzero(norms > 1.0 + CLIP_SLACK)
-    if beyond.size and not damp:
-        raise _Overshoot(beyond)
-    for i in beyond:
-        p, q = rows[i], cols[i]
-        g[i] = 0.0
-        g[i, :p, :q] = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
-        u[i], s[i], vh[i] = _full_svd(g[i])
-    over = norms > 1.0
-    if over.any():
-        s = np.minimum(s, 1.0)
-        k = s.shape[-1]
-        g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
-    pair = _defect_pair(u, s, vh, tol)
-    inverse_pair, invertible = _inverse_defect_pair(u, s, vh, tol)
+    if norms.max() > 1.0:  # some gamma is clipped, or beyond the slack
+        beyond = np.flatnonzero(norms > 1.0 + CLIP_SLACK)
+        if beyond.size and not damp:
+            raise _Overshoot(beyond)
+        for i in beyond:
+            p, q = rows[i], cols[i]
+            g[i] = 0.0
+            g[i, :p, :q] = dagger(_damped_solve(x[i, :p, :p], y[i, :q, :p], tol, checked))
+            u[i], s[i], vh[i] = _full_svd(g[i])
+        over = norms > 1.0
+        if over.any():
+            s = np.minimum(s, 1.0)
+            k = s.shape[-1]
+            g[over] = (u[over][..., :k] * s[over][:, np.newaxis]) @ vh[over][:, :k]
+    pair, inverse_pair, invertible = _defect_pair(u, s, vh, tol, inverse is not None)
     if rows.min() < side or cols.min() < g.shape[-1]:
         g = g * _corner_mask(rows, cols, side)
         col_mask, row_mask = _corner_mask(cols, cols, side), _corner_mask(rows, rows, side)
-        pair, inverse_pair = (DefectPair(p.d_t * col_mask, p.d_t_star * row_mask)
+        pair, inverse_pair = (None if p is None else DefectPair(p.d_t * col_mask,
+                                                                p.d_t_star * row_mask)
                               for p in (pair, inverse_pair))
     return g, pair, inverse_pair, invertible
 

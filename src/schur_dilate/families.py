@@ -75,6 +75,10 @@ SPAN_FRAMES = {
     "span3_3": (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 1.0])),
 }
 
+# Least eigenvalue a span3 draw keeps after ``_gen_span3``'s spectral shift of
+# its compressed 2k x 2k matrix, so that the draw lies inside the cone.
+SPAN3_EIGEN_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class StateFamilySample:
@@ -208,7 +212,7 @@ def _gen_span3(a, b, c, name):
     cross = np.sqrt(nu * nw)
     compressed = np.block([[nu * a, cross * b], [cross * b, nw * c]])
     lam = np.linalg.eigvalsh(hermitian_part(compressed))[:, 0]
-    shift = np.maximum(0.0, 1e-6 - lam)[:, np.newaxis, np.newaxis]
+    shift = np.maximum(0.0, SPAN3_EIGEN_FLOOR - lam)[:, np.newaxis, np.newaxis]
     eye = np.eye(a.shape[-1])
     return build_span3(a + (shift / nu) * eye, b, c + (shift / nw) * eye, name)
 

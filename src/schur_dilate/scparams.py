@@ -24,12 +24,12 @@ positive roots ``L_ii``, the strictly upper triangle carries contractions
 ``Gamma_ij``, and the natural square root assembled from them is a block
 Cholesky factor.
 
-One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, and where
-``1 - s^2`` is clear of zero their inverses too.  Every extraction runs
-the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive matrix depends
-only on the principal block ``a[i..j]``, so one stage per lag ``j - i``
-serves every row at once, after one stacked ``eigh`` for the roots and one
-stacked SVD for their pseudoinverses.  An interior lag of a carried pass
+One SVD of each gamma gives ``D_Gamma`` and ``D_Gamma*``, and on a carried
+pass, where ``1 - s^2`` is clear of zero, their inverses too.  Every
+extraction runs the lag stages ``_psd_stages``: ``Gamma_ij`` of a positive
+matrix depends only on the principal block ``a[i..j]``, so one stage per
+lag ``j - i`` serves every row at once, after one stacked ``eigh`` for the
+roots and one stacked SVD for their pseudoinverses.  An interior lag of a carried pass
 takes one stacked SVD, the gammas': the pivots and the solves go through
 inverses carried from lag to lag as products of those defect inverses
 (``_psd_pass``), and other rows through pseudoinverses (``_solve_stack``);
@@ -45,7 +45,9 @@ rebuild, a column contraction's as an n x 1 grid, is one walk over a grid
 (``_grid_walk``): block row j of ``T*`` is the row contraction of block
 column j's adjoint gammas applied to ``x = F_{j-1}* ... F_0*``, ``F_i`` the
 lower defect factor of that row, and ``_column_walk`` gives it and the next
-``x`` at two products per gamma.  The last ``x`` is the block
+``x`` at one product per gamma, through the walk operators ``[D_G; G]``
+and ``[G*; D_G*]`` that each gamma carries (``_padded_gammas``; the lag
+stages build them as each lag's gammas land).  The last ``x`` is the block
 upper-triangular ``H`` with H*H = I - T T*, and ``G`` with G*G = I - T*T is
 ``H`` of the adjoint-transposed grid, which rebuilds ``T*`` from the same
 defect pairs, swapped.  Positive matrices walk their block columns the
@@ -393,9 +395,9 @@ def matrix_defects_2x2(params: MatrixContractionParams, tol: Tolerances = DEFAUL
     return _grid_rebuild(params.gammas, shape, tol, factors=True)
 
 
-def _grid_walk(g, d_t, d_t_star, dims, out_dims):
+def _grid_walk(fwd, back, dims, out_dims):
     """``(T*, H)`` of the block contraction T whose block column j has the
-    adjoint gammas ``g[j]``, zero-padded with their defects as
+    adjoint gammas with walk operators ``fwd[j]`` and ``back[j]``, as
     ``_padded_gammas`` makes them, over row blocks ``dims`` and column
     blocks ``out_dims``.
 
@@ -404,14 +406,14 @@ def _grid_walk(g, d_t, d_t_star, dims, out_dims):
     of ``C_i*``; one ``_column_walk`` gives it and the next x.  The last x
     is the block upper-triangular H, H*H = I - T T*.
     """
-    side = g.shape[-1]
+    side = fwd.shape[-1]
     idx = _pad_index(dims, side)
     x = np.zeros((len(dims) * side, len(idx)), dtype=complex)
     x[idx, np.arange(len(idx))] = 1
     x = x.reshape(1, len(dims), side, len(idx))
     rows = []
     for j, d in enumerate(out_dims):
-        top, x = _column_walk(g[j:j + 1], d_t[j:j + 1], d_t_star[j:j + 1], x)
+        top, x = _column_walk(fwd[j:j + 1], back[j:j + 1], x)
         rows.append(top[0, :d])
     return np.vstack(rows), x.reshape(-1, len(idx))[idx]
 
@@ -426,13 +428,17 @@ def _grid_rebuild(grid, shape: BlockShape, tol: Tolerances, factors: bool = Fals
     so its walk gives T and G from the same defects.
     """
     rd, cd = shape.row_dims, shape.col_dims
-    walk = _padded_gammas([[dagger(row[j]) for row in grid] for j in range(len(cd))],
-                          max(rd + cd), tol)
-    t_star, h = _grid_walk(*walk, rd, cd)
+    side = max(rd + cd)
+    fwd, back = _padded_gammas([[dagger(row[j]) for row in grid] for j in range(len(cd))],
+                               side, tol)
+    t_star, h = _grid_walk(fwd, back, rd, cd)
     if not factors:
         return dagger(t_star)
-    g, d_t, d_t_star = (a.swapaxes(0, 1) for a in walk)
-    return _grid_walk(dagger(g), d_t_star, d_t, cd, rd)[1], h
+    # the walk operators of the adjoint gammas G*, whose D_{(G*)*} is D_G
+    g, d_t, d_t_star = (a.swapaxes(0, 1) for a in (fwd[..., side:, :], fwd[..., :side, :],
+                                                    back[..., side:, :]))
+    return _grid_walk(np.concatenate((d_t_star, dagger(g)), axis=-2),
+                      np.concatenate((g, d_t), axis=-2), cd, rd)[1], h
 
 
 # ---------------------------------------------------------------------------
@@ -507,52 +513,61 @@ def _padded_roots(diag_blocks, dims, side: int, tol: Tolerances, cut: float) -> 
     return roots
 
 
-def _padded_gammas(rows, side: int, tol: Tolerances) -> np.ndarray:
-    """Rows of gammas, of any lengths, and their defects as zero-padded
-    grids ``g, d_t, d_t_star`` of shape ``(len(rows), longest row, side,
-    side)``, ``[k, m]`` holding the m-th gamma of row k.
+def _padded_gammas(rows, side: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of gammas, of any lengths, as the walk operators of
+    ``_column_walk``: ``[k, m]`` holds ``[D_G; G]`` and ``[G*; D_G*]`` of the
+    m-th gamma G of row k, each block zero-padded to ``side x side``, in two
+    arrays of shape ``(len(rows), longest row, 2 side, side)``.
 
     One stacked SVD per distinct gamma shape, bit-identical to a
     ``defects`` call per gamma.
     """
-    out = np.zeros((3, len(rows), max(map(len, rows), default=0), side, side), dtype=complex)
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for k, row in enumerate(rows):
-        for m, g in enumerate(row):
-            groups.setdefault(g.shape, []).append((k, m))
-    for (p, q), at in groups.items():
-        k, m = (list(i) for i in zip(*at))
-        stack = np.stack([rows[i][j] for i, j in at])
+    fwd, back = np.zeros((2, len(rows), max(map(len, rows), default=0), 2 * side, side),
+                         dtype=complex)
+    flat = [g for row in rows for g in row]
+    lengths = [len(row) for row in rows]
+    k = np.repeat(np.arange(len(rows)), lengths)  # flat[i] is gamma m[i] of row k[i]
+    m = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    shapes = [g.shape for g in flat]
+    for p, q in set(shapes):
+        at = [i for i, shape in enumerate(shapes) if shape == (p, q)]
+        stack = np.stack([flat[i] for i in at])
         pair = defects(stack, tol)
-        out[0, k, m, :p, :q] = stack
-        out[1, k, m, :q, :q] = pair.d_t
-        out[2, k, m, :p, :p] = pair.d_t_star
-    return out
+        fwd[k[at], m[at], :q, :q] = pair.d_t
+        fwd[k[at], m[at], side:side + p, :q] = stack
+        back[k[at], m[at], side:side + p, :p] = pair.d_t_star
+    back[..., :side, :] = dagger(fwd[..., side:, :])
+    return fwd, back
 
 
-def _column_walk(g, d_t, d_t_star, x, lead: int = 0):
+def _column_walk(fwd, back, x, lead: int = 0):
     """``T x`` and ``F* x`` for a stack of rows of gammas, without forming F.
 
-    ``g[k, m]`` is the m-th gamma of row k, ``d_t[k, m]`` and
-    ``d_t_star[k, m]`` its defects; ``T`` is the row's contraction and ``F``
-    its block lower-triangular defect factor (F F* = I - T*T): D_{G_i} on
-    the diagonal, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j below it.
+    ``fwd[k, m]`` and ``back[k, m]`` are the walk operators ``[D_G; G]``
+    and ``[G*; D_G*]`` of the m-th gamma G of row k, built once per gamma
+    (``_padded_gammas``, ``_psd_pass``); ``T`` is the row's contraction and
+    ``F`` its block lower-triangular defect factor (F F* = I - T*T): D_{G_i}
+    on the diagonal, -G_i* D_{G_{i-1}*} ... D_{G_{j+1}*} G_j below it.
     ``x[k, m]`` is the m-th block of a block column per row, of any width.
     Walking m from the last gamma to the first, with ``u = 0``: ``(F* x)_m
     = D_{G_m} x_m - G_m* u`` and ``u <- G_m x_m + D_{G_m*} u``; the final
-    ``u`` is ``T x``.  The products with x are taken for all m at once, so
-    each step costs two products, stacked over the rows.  Row k's first
-    ``lead - k`` gammas are pinned zeros, which pass x and u through unwalked.
+    ``u`` is ``T x``.  The products with x are one product for all m at
+    once, so each step costs one product, ``[G_m*; D_{G_m*}] u``, stacked
+    over the rows, and the ``G_m* u`` are subtracted after the walk.  Row
+    k's first ``lead - k`` gammas are pinned zeros, which pass x and u
+    through unwalked.
     """
-    gx = g @ x
-    lower = d_t @ x
-    adj = dagger(g)
+    side = x.shape[-2]
+    fx = fwd @ x
+    lower, gx = fx[..., :side, :], fx[..., side:, :]
     last = x.shape[1] - 1
+    steps = np.zeros((len(x), last) + fx.shape[2:], dtype=complex)  # [G_m* u; D_{G_m*} u]
     u = gx[:, last]
     for m in range(last - 1, -1, -1):
         k = max(0, lead - m)
-        lower[k:, m] -= adj[k:, m] @ u[k:]
-        u[k:] = gx[k:, m] + d_t_star[k:, m] @ u[k:]
+        np.matmul(back[k:, m], u[k:], out=steps[k:, m])
+        np.add(gx[k:, m], steps[k:, m, side:], out=u[k:])
+    lower[:, :last] -= steps[..., :side, :]
     return u, lower
 
 
@@ -742,24 +757,31 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
     come from each gamma's SVD (``_gamma_steps``), so a lag on this path
     takes that SVD alone.  Both chains grow by ``_extend_chain``; rows off
     them and pinned rows solve through pseudoinverses (``_solve_stack``).
+
+    The gammas and their defects live in their walk operators
+    (``_column_walk``); a lag completes ``[G*; D_G*]`` for the rows that
+    have a coupling at that lag, once its gammas and pins have landed.
     """
     n = len(dims)
     side = roots.shape[-1]
     sizes = np.array(dims)
     off = np.array(_offsets(dims))
-    diag = np.arange(n)
+    diag = np.arange(n + 1)
     root_norms = _frobs(roots)
     # ||factor of a[k+1..j]||_F^2 = trace a[k+1..j] = sum_{k<i<=j} ||L_i||_F^2
     sq_norms = np.concatenate(([0.0], np.cumsum(root_norms ** 2)))
     atol = np.sqrt(cut)
     m_acc = (np.eye(side) * _corner_mask(sizes[:-1], sizes[:-1], side)).astype(complex)
-    # [k, m]: row k's gamma into block k + 1 + m, its defects and its solved r block
-    g, d_t, d_t_star, r = (np.zeros((n - 1, n - 1, side, side), dtype=complex) for _ in range(4))
+    # [k, m]: row k's gamma into block k + 1 + m and its defects, as views of
+    # its walk operators [D_G; G] and [G*; D_G*] (_column_walk), and its solved r block
+    fwd, back = (np.zeros((n - 1, n - 1, 2 * side, side), dtype=complex) for _ in range(2))
+    d_t, g, d_t_star = fwd[..., :side, :], fwd[..., side:, :], back[..., side:, :]
+    r = np.zeros((n - 1, n - 1, side, side), dtype=complex)
     if split is None:
         root_pinv, root_rank = _pinv_stack(roots, _rank_rconds(sizes, root_norms, tol, atol))
     else:  # identity roots; the walks pass x through the pinned zeros' D_Gamma = I
         root_pinv, root_rank = roots, sizes
-        d_t[1:split] = roots[np.minimum(np.add.outer(diag[2:split + 1], diag[:-1]), n - 1)]
+        d_t[1:split] = roots[np.minimum(np.add.outer(diag[2:split + 1], diag[:n - 1]), n - 1)]
     # the inverse path: by row, M_k^-1 while solve_ok, the pivot's inverse
     # while pivot_ok, and D_Gamma^-1 of the last gamma if inv_ok
     bound = _inverse_bound(tol, off[-1])
@@ -785,7 +807,7 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
             if lag == 1:
                 rj[:p] = rhs @ root_pinv[lo + 1:real + 1]
             else:
-                first, last = np.arange(lo + 1, real + 1), np.arange(lo + lag + 1, real + lag + 1)
+                first, last = diag[lo + 1:real + 1], diag[lo + lag + 1:real + lag + 1]
                 scale = np.sqrt(sq_norms[last] - sq_norms[first])
                 if carry:
                     if split is not None and real == split - 1:
@@ -839,6 +861,7 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
                                                         solve_ok[at] & invertible, bound)
         if lag == n - 1:
             break
+        back[lo:hi, lag - 1, :side] = dagger(g[lo:hi, lag - 1])
         step = slice(lo, min(hi, rows - 1))
         m_acc[step] = m_acc[step] @ d_t_star[step, lag - 1]
         start = max(1, lo)  # row 0's new column would only serve a row above it
@@ -851,8 +874,8 @@ def _psd_pass(blocks, roots, dims, cut: float, tol: Tolerances, pinned: dict,
         if real < hi:  # row split - 1, whose trailing corner and its factor are identities
             x = np.concatenate((x, np.zeros((1, lag, side, side), dtype=complex)))
             x[-1, -1] = roots[real + lag]
-        _, lower = _column_walk(g[start:hi, :lag], d_t[start:hi, :lag], d_t_star[start:hi, :lag],
-                                x, 0 if split is None else split - 1 - start)
+        _, lower = _column_walk(fwd[start:hi, :lag], back[start:hi, :lag], x,
+                                0 if split is None else split - 1 - start)
         cols, c0 = np.concatenate((top[:, np.newaxis], lower), axis=1), start - 1
     return g, {}
 
@@ -900,11 +923,11 @@ def psd_cholesky(params: PositiveSCParams, tol: Tolerances = DEFAULT_TOL) -> np.
     full = np.zeros((n, side, n, side), dtype=complex)
     for i, root in enumerate(params.diag_roots):
         full[i, :dims[i], i, :dims[i]] = root
-    g, d_t, d_t_star = _padded_gammas(params.gammas[:-1], side, tol)
+    fwd, back = _padded_gammas(params.gammas[:-1], side, tol)
     cols = full[1:, :, 1:].diagonal(axis1=0, axis2=2).transpose(2, 0, 1)[:, np.newaxis]
     for lag in range(1, n):
         rows = n - lag
-        top, lower = _column_walk(g[:rows, :lag], d_t[:rows, :lag], d_t_star[:rows, :lag], cols)
+        top, lower = _column_walk(fwd[:rows, :lag], back[:rows, :lag], cols)
         full[0, :, lag] = top[0]
         full[1:lag + 1, :, lag] = lower[0]
         cols = np.concatenate((top[1:, np.newaxis], lower[1:]), axis=1)

@@ -16,7 +16,8 @@ order; the matrix kind lists the grid column-major (block column 1 top to
 bottom, then column 2, ...); the psd kind lists the strict upper triangle
 row-major (G_12, G_13, ..., G_23, ...).
 
-POVMs: {"dim": m, "vectors": [[[re, im], ...], ...]}.
+POVMs: {"dim": m, "vectors": [[[re, im], ...], ...]} or
+{"dim": m, "effects": [matrix, ...]}, every effect m x m.
 Channels: {"in_dim": n, "out_dim": m, "kraus": [matrix, ...]}.
 Dilations serialize the unitary plus embedding metadata.
 
@@ -25,10 +26,13 @@ back as the same double, so re-parsed values match bit for bit.
 
 ``dump`` writes what ``json.dump(obj, fh, sort_keys=True)`` plus a newline
 would.  Handed a domain object, it has the encoder write the ``*_to_obj``
-tree with a numbered hole, the string ``"\\0<i>"``, for each array, and
-fills the holes with the arrays' ``[re, im]`` pairs: grouped across holes
-into pieces of at most ``_CHUNK`` pairs, one ``%`` call each, so no whole
-document is held as one string.
+tree with a numbered hole, the string ``"\\0<i>"``, for each array and
+each list of matrices, and fills the holes from the arrays: an array with
+its ``[re, im]`` pairs, a list with its matrices, neighbours of one shape
+written as one run (one stack, one ``tolist`` and one cached template for
+the run).  The text is grouped across holes into pieces of at most
+``_CHUNK`` pairs, one ``%`` call each, so no whole document is held as one
+string.
 """
 
 from __future__ import annotations
@@ -65,16 +69,20 @@ def _pairs(a) -> list:
 _PARAMS = (RowColParams, MatrixContractionParams, PositiveSCParams)
 
 
-def _tree(obj, leaf):
+def _tree(obj, leaf, matrices=None):
     """The ``*_to_obj`` tree of a matrix, parameter set, POVM, channel or
-    dilation, with ``leaf`` making the data of every matrix and vector."""
+    dilation, with ``leaf`` making the data of every matrix and vector, and
+    ``matrices`` every list of matrices (by default, the list of their
+    trees)."""
+    if matrices is None:
+        def matrices(arrays):
+            return [_tree(a, leaf) for a in arrays]
     if isinstance(obj, Povm):
         if obj.vectors is None:
-            return {"dim": obj.dim, "effects": [_tree(e, leaf) for e in obj.effects]}
+            return {"dim": obj.dim, "effects": matrices(obj.effects)}
         return {"dim": obj.dim, "vectors": [leaf(v) for v in obj.vectors]}
     if isinstance(obj, KrausChannel):
-        return {"in_dim": obj.in_dim, "out_dim": obj.out_dim,
-                "kraus": [_tree(e, leaf) for e in obj.kraus]}
+        return {"in_dim": obj.in_dim, "out_dim": obj.out_dim, "kraus": matrices(obj.kraus)}
     if isinstance(obj, DilationResult):
         tree = {"kind": obj.kind, "unitary": _tree(obj.unitary, leaf),
                 "system_span": list(obj.system_span), "ancilla_dim": obj.ancilla_dim}
@@ -85,7 +93,7 @@ def _tree(obj, leaf):
         if obj.absorbing_blocks:
             tree["absorbing_blocks"] = list(obj.absorbing_blocks)
         if obj.freedom is not None:
-            tree["freedom"] = [_tree(u, leaf) for u in obj.freedom]
+            tree["freedom"] = matrices(obj.freedom)
         return tree
     if isinstance(obj, _PARAMS):
         if isinstance(obj, RowColParams):
@@ -98,9 +106,9 @@ def _tree(obj, leaf):
         tree = {"kind": kind,
                 "shape": {"row_dims": list(obj.shape.row_dims),
                           "col_dims": list(obj.shape.col_dims)},
-                "gammas": [_tree(g, leaf) for g in gammas]}
+                "gammas": matrices(gammas)}
         if kind == "psd":
-            tree["diag_roots"] = [_tree(r, leaf) for r in obj.diag_roots]
+            tree["diag_roots"] = matrices(obj.diag_roots)
         return tree
     rows, cols = np.shape(obj)
     return {"rows": rows, "cols": cols, "data": leaf(obj)}
@@ -175,13 +183,16 @@ def povm_to_obj(povm: Povm) -> dict:
 
 
 def povm_from_obj(obj: dict, tol: Tolerances = DEFAULT_TOL) -> Povm:
+    dim = _as_size(obj["dim"], "dim")
     if "vectors" in obj:
-        dim = _as_size(obj["dim"], "dim")
         vs = [vector_from_obj(v) for v in obj["vectors"]]
         if any(v.shape != (dim,) for v in vs):
             raise ValueError("vector length differs from dim")
         return Povm.from_vectors(vs)
-    return Povm.from_effects([matrix_from_obj(e) for e in obj["effects"]], tol)
+    effects = [matrix_from_obj(e) for e in obj["effects"]]
+    if any(e.shape != (dim, dim) for e in effects):
+        raise ValueError("effect shape differs from dim x dim")
+    return Povm.from_effects(effects, tol)
 
 
 def channel_to_obj(ch: KrausChannel) -> dict:
@@ -220,6 +231,7 @@ def dilation_from_obj(obj: dict) -> DilationResult:
 
 _CHUNK = 1024  # float pairs per % call
 _PAIR_TEXT = 54  # longest "[re, im]" text, 24-character floats, plus its ", "
+_ROOM = _PAIR_TEXT * _CHUNK  # characters per % call
 _HOLE = re.compile(r'"\\u0000(\d+)"')  # a hole as json.dumps writes it
 
 
@@ -228,33 +240,81 @@ def _template(pairs: int, head: str) -> str:
     return head + ", ".join(["[%r, %r]"] * pairs)
 
 
-def _runs(parts, arrays):
+def _matrix_head(rows: int, cols: int) -> tuple[str, str]:
+    """A matrix's text before and after its data, as ``json.dumps`` writes it."""
+    return f'{{"cols": {cols}, "data": [', f'], "rows": {rows}}}'
+
+
+@functools.lru_cache(maxsize=256)
+def _run_template(count: int, rows: int, cols: int, head: str) -> str:
+    before, after = _matrix_head(rows, cols)
+    return head + ", ".join([before + _template(rows * cols, "") + after] * count)
+
+
+def _data_runs(floats):
+    """An array's pairs as ``(format, values, cost)`` runs, ``_CHUNK`` at a
+    time."""
+    for start in range(0, len(floats), _CHUNK):
+        head, chunk = ", " if start else "", floats[start:start + _CHUNK]
+        if np.isfinite(chunk).all():
+            yield _template(len(chunk), head), chunk.ravel().tolist(), _PAIR_TEXT * len(chunk)
+        else:  # the encoder writes NaN and Infinity
+            yield head + json.dumps(chunk.tolist())[1:-1], [], _PAIR_TEXT * len(chunk)
+
+
+def _matrix_runs(arrays):
+    """A list of matrices as ``(format, values, cost)`` runs: neighbours of
+    one shape together, as many as cost at most ``_ROOM`` with their own
+    text, and a matrix too large for that alone, its data in ``_data_runs``."""
+    start = 0
+    while start < len(arrays):
+        head, (rows, cols) = ", " if start else "", np.shape(arrays[start])
+        before, after = _matrix_head(rows, cols)
+        cost = _PAIR_TEXT * rows * cols + len(before) + len(after) + 2
+        if cost > _ROOM:
+            yield head + before, [], len(head + before)
+            yield from _data_runs(_floats(arrays[start]))
+            yield after, [], len(after)
+            start += 1
+            continue
+        end = start + 1
+        while (end < len(arrays) and end - start < _ROOM // cost
+               and np.shape(arrays[end]) == (rows, cols)):
+            end += 1
+        run = arrays[start:end]
+        floats = _floats(np.stack(run))
+        if np.isfinite(floats).all():
+            template = _run_template(len(run), rows, cols, head)
+            yield template, floats.ravel().tolist(), cost * len(run)
+        else:  # the encoder writes NaN and Infinity
+            text = ", ".join(json.dumps(_tree(a, _pairs), sort_keys=True) for a in run)
+            yield head + text, [], cost * len(run)
+        start = end
+
+
+def _runs(parts, holes):
     """The document as ``(format, values, cost)`` runs: the skeleton text
-    between holes, with the holes' brackets, and each hole's pairs
-    ``_CHUNK`` at a time.  ``cost`` bounds the run's length, a pair being
-    charged ``_PAIR_TEXT`` characters."""
+    between holes, with the holes' brackets, and each hole's runs, an
+    array's pairs (``_data_runs``) or a list's matrices (``_matrix_runs``).
+    ``cost`` bounds the run's length, a pair being charged ``_PAIR_TEXT``
+    characters."""
     for i, part in enumerate(parts):
         if i % 2 == 0:
             text = ("]" if i else "") + part + ("[" if i < len(parts) - 1 else "")
             yield text.replace("%", "%%"), [], len(text)
             continue
-        floats = arrays[int(part)]
-        for start in range(0, len(floats), _CHUNK):
-            head, chunk = ", " if start else "", floats[start:start + _CHUNK]
-            if np.isfinite(chunk).all():
-                yield _template(len(chunk), head), chunk.ravel().tolist(), _PAIR_TEXT * len(chunk)
-            else:  # the encoder writes NaN and Infinity
-                yield head + json.dumps(chunk.tolist())[1:-1], [], _PAIR_TEXT * len(chunk)
+        hole = holes[int(part)]
+        yield from _matrix_runs(hole) if isinstance(hole, list) else _data_runs(hole)
 
 
 def _pieces(runs):
     """Group ``(format, values, cost)`` runs into pieces costing at most
-    ``_PAIR_TEXT * _CHUNK`` characters, one ``%`` call each."""
-    fmt, values, room = [], [], _PAIR_TEXT * _CHUNK
+    ``_ROOM`` characters, one ``%`` call each."""
+    fmt, values, room = [], [], _ROOM
     for text, vals, cost in runs:
         if cost > room and fmt:
             yield "".join(fmt) % tuple(values)
-            fmt, values, room = [], [], _PAIR_TEXT * _CHUNK
+            fmt, values, room = [], [], _ROOM
         fmt.append(text)
         values += vals
         room -= cost
@@ -268,19 +328,21 @@ def dump(obj, path) -> None:
     ``obj`` is a JSON tree, or a 2-D ndarray, parameter set, ``Povm``,
     ``KrausChannel`` or ``DilationResult``, written as its ``*_to_obj``
     tree would be: the encoder writes the tree with a numbered hole for
-    each array, and the holes are filled from the arrays.
+    each array and each list of matrices, and the holes are filled from the
+    arrays.
     """
     if isinstance(obj, (dict, list, tuple)):
         pieces = json.JSONEncoder(sort_keys=True).iterencode(obj)  # as json.dump does
     else:
-        arrays = []
+        holes = []
 
-        def hole(a):
-            arrays.append(_floats(a))
-            return f"\0{len(arrays) - 1}"
+        def hole(value):
+            holes.append(value)
+            return f"\0{len(holes) - 1}"
 
-        skeleton = json.dumps(_tree(obj, hole), sort_keys=True)
-        pieces = _pieces(_runs(_HOLE.split(skeleton), arrays))
+        skeleton = json.dumps(_tree(obj, lambda a: hole(_floats(a)), lambda a: hole(list(a))),
+                              sort_keys=True)
+        pieces = _pieces(_runs(_HOLE.split(skeleton), holes))
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)
         fh.write("\n")

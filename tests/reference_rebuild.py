@@ -14,12 +14,18 @@ norm or residual bound.
 
 ``solve_left_factor`` is the mirror image of the library's factor solve,
 which the tests' references solve block columns with.
+
+``column_walk`` is the library's walk of a stack of rows of padded gammas
+at two products per step, as it was before each gamma carried its walk
+operators, and ``inverse_defects`` the inverse defects from one SVD at one
+product each: the bitwise references of ``scparams._column_walk`` and of
+the inverses of ``contraction._gamma_steps``.
 """
 
 import numpy as np
 
-from schur_dilate.contraction import defects, solve_contraction_factor
-from schur_dilate.linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger
+from schur_dilate.contraction import DefectPair, defects, solve_contraction_factor
+from schur_dilate.linalg import DEFAULT_TOL, Tolerances, as_matrix, dagger, zero_level
 
 
 def solve_left_factor(x, y, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -67,3 +73,34 @@ def matrix_rebuild(params) -> np.ndarray:
         cols.append(dacc @ dagger(t))
         dacc = dacc @ f
     return np.hstack(cols)
+
+
+def column_walk(g, d_t, d_t_star, x, lead: int = 0):
+    """``T x`` and ``F* x`` for a stack of rows of zero-padded gammas ``g``
+    with defects ``d_t`` and ``d_t_star``, ``[k, m]`` the m-th of row k:
+    walking m down from the last gamma, ``(F* x)_m = D_{G_m} x_m - G_m* u``
+    and ``u <- G_m x_m + D_{G_m*} u``, two products per step.  Row k's first
+    ``lead - k`` gammas are skipped."""
+    gx = g @ x
+    lower = d_t @ x
+    adj = dagger(g)
+    last = x.shape[1] - 1
+    u = gx[:, last]
+    for m in range(last - 1, -1, -1):
+        k = max(0, lead - m)
+        lower[k:, m] -= adj[k:, m] @ u[k:]
+        u[k:] = gx[k:, m] + d_t_star[k:, m] @ u[k:]
+    return u, lower
+
+
+def inverse_defects(g, tol: Tolerances = DEFAULT_TOL):
+    """``D_G^-1`` and ``D_G*^-1`` of each matrix of a square stack, from its
+    full SVD at one product each, and whether each has them: no ``1 - s^2``
+    at or below ``zero_level(1)``."""
+    u, s, vh = np.linalg.svd(g)
+    w = (1.0 - s) * (1.0 + s)
+    clear = w > zero_level(1.0, tol)
+    root = 1.0 / np.sqrt(np.where(clear, w, 1.0))
+    return (DefectPair((dagger(vh) * root[..., np.newaxis, :]) @ vh,
+                       (u * root[..., np.newaxis, :]) @ dagger(u)),
+            clear.all(axis=-1))

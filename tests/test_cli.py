@@ -146,6 +146,17 @@ def test_param_fractional_size_exits_1(tmp_path, capsys):
     assert err.startswith("error: rows must be an integer")
 
 
+@pytest.mark.parametrize("dim", [7.5, 5])
+def test_dilate_povm_effects_of_another_dim_exits_1(tmp_path, capsys, dim):
+    src = tmp_path / "povm.json"
+    effects = [serialize.matrix_to_obj(np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])]
+    serialize.dump({"dim": dim, "effects": effects}, src)
+    code, _, err = run_cli(capsys, "dilate", "--povm", str(src), "--out", str(tmp_path / "u.json"))
+    assert code == 1
+    assert err.startswith("error: dim must be an integer" if dim == 7.5
+                          else "error: effect shape differs from dim")
+
+
 def test_dilate_basis_povm(tmp_path, capsys):
     povm_file = tmp_path / "povm.json"
     out = tmp_path / "u.json"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_rebuild import solve_left_factor
+from reference_rebuild import inverse_defects, solve_left_factor
 
 from schur_dilate.contraction import (
     CLIP_SLACK,
@@ -360,6 +360,28 @@ def test_gamma_steps_on_padded_stacks():
                                   (pair.d_t_star[i], pi.d_t_star, (h, h))):
             np.testing.assert_allclose(got[:p, :q], want, atol=1e-13)
             assert not got[p:].any() and not got[:, q:].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 4))
+def test_only_carried_gamma_steps_make_inverse_defects(seed, count, h):
+    # an uncarried call returns no inverses; a carried one returns those of
+    # the SVD of its gammas, one product each, and whether each has them
+    rng = rng_from_seed(seed)
+    dacc = np.stack([defects(random_contraction(rng, h, h, spectral_norm=0.9)).d_t_star
+                     for _ in range(count)])
+    blk = dacc @ np.stack([random_contraction(rng, h, h, spectral_norm=0.9)
+                           for _ in range(count)])
+    sizes = np.full(count, h), np.full(count, h)
+    assert _gamma_steps(dacc, blk, Tolerances(), *sizes)[2:] == (None, None)
+    known = np.arange(count) % 2 == 0  # the other rows solve through pseudoinverses
+    g, _, inverse_pair, invertible = _gamma_steps(dacc, blk, Tolerances(), *sizes,
+                                                  inverse=(np.linalg.inv(dacc), known))
+    assert max(map(opnorm, g)) <= 1.0  # nothing clipped: g is the matrix its SVD took
+    want, clear = inverse_defects(g)
+    assert same_bits(inverse_pair.d_t, want.d_t)
+    assert same_bits(inverse_pair.d_t_star, want.d_t_star)
+    assert invertible.tolist() == clear.tolist() == [True] * count
 
 
 def test_gamma_step_clips_within_slack_and_fails_beyond():

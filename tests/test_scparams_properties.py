@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_rebuild import matrix_rebuild, row_walk, solve_left_factor
+from reference_rebuild import column_walk, matrix_rebuild, row_walk, solve_left_factor
 
 from schur_dilate import contraction, scparams
 from schur_dilate.contraction import DefectPair, clip_to_contraction, defects
@@ -26,7 +26,12 @@ from schur_dilate.linalg import (
     sqrt_psd,
     zero_level,
 )
-from schur_dilate.sampling import complex_gaussian, random_unitary, rng_from_seed
+from schur_dilate.sampling import (
+    complex_gaussian,
+    random_contraction,
+    random_unitary,
+    rng_from_seed,
+)
 from schur_dilate.scparams import (
     BlockShape,
     MatrixContractionParams,
@@ -325,6 +330,28 @@ def test_rebuilds_match_the_reference_walk(n, m, data):
         for block, r in zip(blocks_of(t, shape.row_dims, shape.col_dims),
                             blocks_of(ref, shape.row_dims, shape.col_dims)):
             assert_close(block, r, WALK_TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed, st.sampled_from(("psd_cholesky", "_grid_walk", "stages")), blocks, st.booleans())
+def test_walk_operators_walk_as_the_two_product_walk_bitwise(rng_seed, caller, dims, lead):
+    # padded stacks of the shapes each caller walks: rows of a lag's gammas
+    # over a block column (psd_cholesky), one block column of a grid over
+    # its whole width (_grid_walk), and a lag's rows whose first lead - k
+    # gammas are pinned zeros (the stages of a block contraction)
+    rng = rng_from_seed(rng_seed)
+    side, n = max(dims), len(dims)
+    count, width = (1, n * side) if caller == "_grid_walk" else (int(rng.integers(1, 6)), side)
+    lead = int(rng.integers(1, count + n)) if lead and caller == "stages" else 0
+    heights = [dims[k % n] for k in range(count)]  # each row's block, as its gammas' rows
+    rows = [[random_contraction(rng, p, q) if m >= lead - k else np.zeros((p, q))
+             for m, q in enumerate(dims)] for k, p in enumerate(heights)]
+    fwd, back = scparams._padded_gammas(rows, side, DEFAULT_TOL)
+    x = complex_gaussian(rng, count * n * side, width).reshape(count, n, side, width)
+    want = column_walk(fwd[..., side:, :].copy(), fwd[..., :side, :].copy(),
+                       back[..., side:, :].copy(), x.copy(), lead)
+    for got, ref in zip(scparams._column_walk(fwd, back, x, lead), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 @examples

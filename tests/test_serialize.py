@@ -177,6 +177,19 @@ def test_fractional_and_boolean_sizes_are_rejected(load, obj):
         load(json.loads(json.dumps(obj)))
 
 
+EFFECTS = [serialize.matrix_to_obj(np.diag(d)) for d in ([1.0, 0.0], [0.0, 1.0])]
+
+
+@pytest.mark.parametrize("dim, message", [(7.5, "dim must be an integer"),
+                                          (True, "dim must be an integer"),
+                                          (5, "differs from dim"), (1, "differs from dim")])
+def test_povm_effects_must_match_dim(dim, message):
+    # the effects form once took its size from the effects, whatever dim said
+    with pytest.raises(ValueError, match=message):
+        serialize.povm_from_obj(json.loads(json.dumps({"dim": dim, "effects": EFFECTS})))
+    assert serialize.povm_from_obj({"dim": 2, "effects": EFFECTS}).dim == 2
+
+
 def test_integral_sizes_load_as_ints():
     m = serialize.matrix_from_obj({"rows": 1.0, "cols": np.int64(2), "data": [[1.0, 0.0]] * 2})
     assert m.shape == (1, 2)
@@ -355,16 +368,37 @@ def long_nonfinite():
     return a
 
 
+def psd48():
+    """1128 one-pair gammas: more matrices than _CHUNK, written as runs."""
+    g = complex_gaussian(rng_from_seed(110), 96, 48)
+    return psd_parametrize(dagger(g) @ g, BlockShape((1,) * 48, (1,) * 48))
+
+
+def mixed_grid(nan=False):
+    """A grid whose gamma shapes change along its column-major list, one
+    gamma holding a NaN if ``nan``."""
+    rng = rng_from_seed(111)
+    rows, cols = (2, 1, 3), (1, 2, 2, 1)
+    grid = [[complex_gaussian(rng, p, q) for q in cols] for p in rows]
+    if nan:
+        grid[2][1][1, 0] = complex(np.nan, 0.0)
+    return MatrixContractionParams(grid, BlockShape(rows, cols))
+
+
 @settings(max_examples=150, deadline=None)
 @given(documents())
 @example(("psd", psd16()))
 @example(("matrix", long_nonfinite()))
+@example(("psd", psd48()))
+@example(("grid", mixed_grid()))
+@example(("grid", mixed_grid(nan=True)))
 def test_dump_from_the_arrays_matches_json_dump_of_the_public_tree(doc):
     kind, obj = doc
     pieces = dumped_pieces(obj)
     assert "".join(pieces) == json_dump_text(TO_OBJ[kind](obj))
-    # no piece holds more than one _CHUNK-pair chunk's text: the longest
-    # float text is 24 characters, so a pair with its separator takes 54
+    # no piece holds more than one _CHUNK-pair chunk's text, the text of
+    # the matrices around their pairs included: the longest float text is
+    # 24 characters, so a pair with its separator takes 54
     for piece in pieces:
         assert len(PAIR.findall(piece)) <= serialize._CHUNK
         assert len(piece) <= 54 * serialize._CHUNK
